@@ -369,13 +369,7 @@ Result<EngineStats> Fleet::Run() {
       // run into a pooled frame instead of touching the collector here.
       // A d-dimensional device's run is its full dim-major block.
       if (producer.has_value()) {
-        if (dims == 1) {
-          producer->Publish(uid, /*base_slot=*/0, report_values);
-        } else {
-          producer->Publish(uid, /*base_slot=*/0, dims, report_values);
-        }
-      } else if (dims == 1) {
-        ingest->IngestUserRun(uid, /*base_slot=*/0, report_values);
+        producer->Publish(uid, /*base_slot=*/0, dims, report_values);
       } else {
         ingest->IngestUserRun(uid, /*base_slot=*/0, dims, report_values);
       }

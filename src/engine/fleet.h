@@ -6,8 +6,9 @@
 // splitmix64, so a user's perturbed stream is a pure function of the config
 // -- never of thread scheduling. The population is split into fixed-size
 // chunks of users; worker threads claim chunks, advance every session in
-// the chunk slot-by-slot, and deliver the resulting reports to the sharded
-// collector through per-thread ReportBatches. Per-chunk accumulators are
+// the chunk slot-by-slot, and deliver each user's whole run either straight
+// to the collector (CollectorBackend::IngestUserRun) or through the
+// worker's TransportHub::Producer::Publish. Per-chunk accumulators are
 // reduced in chunk order afterwards, so the reported statistics (and the
 // published-stream digest) are bit-identical for any thread count.
 #ifndef CAPP_ENGINE_FLEET_H_

@@ -151,11 +151,17 @@ size_t TransportHub::GroupForUser(uint64_t user_id) const {
 
 void TransportHub::Producer::Publish(uint64_t user_id, size_t base_slot,
                                      std::span<const double> values) {
+  Publish(user_id, base_slot, /*dims=*/1, values);
+}
+
+void TransportHub::Producer::Publish(uint64_t user_id, size_t base_slot,
+                                     size_t dims,
+                                     std::span<const double> values) {
   ++runs_;
   reports_ += values.size();
   const TransportKind kind = hub_->options_.kind;
   if (kind == TransportKind::kDirect) {
-    hub_->collector_->IngestUserRun(user_id, base_slot, values);
+    hub_->collector_->IngestUserRun(user_id, base_slot, dims, values);
     return;
   }
   const size_t group = hub_->GroupForUser(user_id);
@@ -173,53 +179,12 @@ void TransportHub::Producer::Publish(uint64_t user_id, size_t base_slot,
     ReportFrame& frame = *frames_[group];
     frame.runs.push_back(
         {user_id, base_slot, static_cast<uint32_t>(frame.values.size()),
-         static_cast<uint32_t>(values.size())});
-    frame.values.insert(frame.values.end(), values.begin(), values.end());
-  } else {
-    // kQueueFramed and kSocket both stage encoded wire frames; they
-    // differ only in where PushFrame sends the bytes.
-    telemetry::ScopedTimer encode_timer;
-    if (telemetry::Enabled() && telemetry::ShouldSample()) {
-      encode_timer.Arm(&telemetry::metrics::TransportEncodeSeconds());
-    }
-    AppendUserRunFrame(user_id, base_slot, values, frames_[group]->bytes);
-  }
-  if (++frames_[group]->run_count >= hub_->options_.max_batch_runs) {
-    hub_->PushFrame(*this, group);
-  }
-}
-
-void TransportHub::Producer::Publish(uint64_t user_id, size_t base_slot,
-                                     size_t dims,
-                                     std::span<const double> values) {
-  if (dims <= 1) {
-    // The one-dimensional fast path above: same staging, same 0xC5 bytes.
-    Publish(user_id, base_slot, values);
-    return;
-  }
-  ++runs_;
-  reports_ += values.size();
-  const TransportKind kind = hub_->options_.kind;
-  if (kind == TransportKind::kDirect) {
-    hub_->collector_->IngestUserRun(user_id, base_slot, dims, values);
-    return;
-  }
-  const size_t group = hub_->GroupForUser(user_id);
-  if (frames_.size() <= group) frames_.resize(hub_->ProducerGroupCount());
-  if (frames_[group] == nullptr) frames_[group] = hub_->AcquireFrame();
-  if (kind == TransportKind::kQueue) {
-    if (!frames_[group]->runs.empty() &&
-        frames_[group]->values.size() + values.size() >
-            std::numeric_limits<uint32_t>::max()) {
-      hub_->PushFrame(*this, group);
-      frames_[group] = hub_->AcquireFrame();
-    }
-    ReportFrame& frame = *frames_[group];
-    frame.runs.push_back(
-        {user_id, base_slot, static_cast<uint32_t>(frame.values.size()),
          static_cast<uint32_t>(values.size()), static_cast<uint32_t>(dims)});
     frame.values.insert(frame.values.end(), values.begin(), values.end());
   } else {
+    // kQueueFramed and kSocket both stage encoded wire frames (0xC5 at
+    // d=1, 0xC6 above); they differ only in where PushFrame sends the
+    // bytes.
     telemetry::ScopedTimer encode_timer;
     if (telemetry::Enabled() && telemetry::ShouldSample()) {
       encode_timer.Arm(&telemetry::metrics::TransportEncodeSeconds());
@@ -326,14 +291,10 @@ void TransportHub::IngestFrame(const ReportFrame& frame,
   ConsumerCounters& counters = consumer_counters_[consumer_index];
   if (options_.kind == TransportKind::kQueue) {
     for (const ReportFrame::RunHeader& run : frame.runs) {
-      const std::span<const double> values(frame.values.data() + run.offset,
-                                           run.count);
-      if (run.dims <= 1) {
-        collector_->IngestUserRun(run.user_id, run.base_slot, values);
-      } else {
-        collector_->IngestUserRun(run.user_id, run.base_slot, run.dims,
-                                  values);
-      }
+      collector_->IngestUserRun(
+          run.user_id, run.base_slot, run.dims,
+          std::span<const double>(frame.values.data() + run.offset,
+                                  run.count));
       ++counters.runs;
     }
     return;
@@ -355,11 +316,7 @@ void TransportHub::IngestFrame(const ReportFrame& frame,
       ++counters.decode_failures;
       return;
     }
-    if (dims == 1) {
-      collector_->IngestUserRun(user_id, base_slot, scratch);
-    } else {
-      collector_->IngestUserRun(user_id, base_slot, dims, scratch);
-    }
+    collector_->IngestUserRun(user_id, base_slot, dims, scratch);
     ++counters.runs;
     cursor += *used;
   }

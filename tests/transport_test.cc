@@ -1,5 +1,6 @@
-// Tests for the async report transport: varint/CRC wire codec round-trips
-// and corruption rejection (including non-canonical overlong varints),
+// Tests for the async report transport: varint/CRC wire codec round-trips,
+// both CRC32 paths against a bitwise reference, pinned frame bytes, and
+// corruption rejection (including non-canonical overlong varints),
 // the bounded MPSC queue's backpressure and shutdown, the socket stream
 // path (unix and TCP) with fault injection -- handshake refusals, raw
 // corruption, connection kills with reconnect-and-resume -- and the
@@ -35,6 +36,7 @@
 #include "transport/transport.h"
 #include "transport/transport_hub.h"
 #include "transport/wire_format.h"
+#include "transport/wire_format_internal.h"
 
 namespace capp {
 namespace {
@@ -114,6 +116,64 @@ TEST(Crc32Test, MatchesKnownVector) {
   EXPECT_EQ(Crc32({}), 0x00000000u);
 }
 
+// The textbook shift-and-xor CRC32, one bit at a time: no tables, no
+// folding, nothing shared with the implementations under test.
+uint32_t BitwiseCrc32(std::span<const uint8_t> bytes) {
+  uint32_t c = 0xFFFFFFFFu;
+  for (uint8_t byte : bytes) {
+    c ^= byte;
+    for (int bit = 0; bit < 8; ++bit) {
+      c = (c >> 1) ^ (0xEDB88320u & (0u - (c & 1u)));
+    }
+  }
+  return ~c;
+}
+
+// Checks `crc` against the bitwise reference on every length 0-300 (the
+// table-only sizes, the 64-byte fold threshold and the first 16-byte
+// steps past it) plus sampled lengths up to 8 KiB, each at every start
+// offset 0-16, so unaligned 16-byte loads and every tail length occur.
+void ExpectMatchesBitwiseReference(
+    uint32_t (*crc)(std::span<const uint8_t>)) {
+  constexpr size_t kMaxLength = 8192;
+  constexpr size_t kMaxOffset = 16;
+  Rng rng(2024);
+  std::vector<uint8_t> buffer(kMaxLength + kMaxOffset);
+  for (uint8_t& byte : buffer) byte = static_cast<uint8_t>(rng.NextUint64());
+  std::vector<size_t> lengths;
+  for (size_t n = 0; n <= 300; ++n) lengths.push_back(n);
+  for (size_t n = 301; n < kMaxLength; n += 97 + rng.UniformInt(64)) {
+    lengths.push_back(n);
+  }
+  for (size_t n : {1023, 1024, 1025, 4095, 4096, 4097, 8191, 8192}) {
+    lengths.push_back(n);
+  }
+  for (size_t offset = 0; offset <= kMaxOffset; ++offset) {
+    for (size_t n : lengths) {
+      const std::span<const uint8_t> bytes(buffer.data() + offset, n);
+      ASSERT_EQ(crc(bytes), BitwiseCrc32(bytes))
+          << "length " << n << ", offset " << offset;
+    }
+  }
+}
+
+TEST(Crc32Test, DispatchedCrcMatchesBitwiseReference) {
+  ExpectMatchesBitwiseReference(&Crc32);
+}
+
+TEST(Crc32Test, TablePathMatchesBitwiseReference) {
+  ExpectMatchesBitwiseReference(&wire_internal::Crc32Table);
+}
+
+TEST(Crc32Test, FoldedPathMatchesBitwiseReference) {
+  if (!wire_internal::Crc32FoldedSupported()) {
+    GTEST_SKIP() << "no PCLMULQDQ on this CPU or architecture, so the "
+                    "folded CRC32 path is NOT tested here; Crc32() uses "
+                    "the table path";
+  }
+  ExpectMatchesBitwiseReference(&wire_internal::Crc32Folded);
+}
+
 // ----------------------------------------------------------- wire frames ----
 
 TEST(WireFormatTest, RoundTripsArbitraryRuns) {
@@ -166,6 +226,94 @@ TEST(WireFormatTest, RoundTripsNonFinitePayloads) {
   EXPECT_TRUE(std::isinf(decoded[1]));
   EXPECT_EQ(std::bit_cast<uint64_t>(decoded[2]),
             std::bit_cast<uint64_t>(-0.0));
+}
+
+// A ramp carrying the bit patterns a wire must pass through verbatim:
+// negative zero, a denormal, the largest finite double, and a NaN with a
+// sign bit and a payload (not the canonical quiet NaN).
+std::vector<double> GoldenPayload(size_t n) {
+  std::vector<double> values(n);
+  for (size_t i = 0; i < n; ++i) {
+    values[i] = static_cast<double>(i) * 0.125 - 2.0;
+  }
+  values[3] = -0.0;
+  values[7] = std::bit_cast<double>(uint64_t{0x000123456789ABCD});
+  values[11] = std::numeric_limits<double>::max();
+  values[13] = std::bit_cast<double>(uint64_t{0xFFF80000DEADBEEF});
+  return values;
+}
+
+std::string Hex(std::span<const uint8_t> bytes) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string hex;
+  for (uint8_t byte : bytes) {
+    hex.push_back(kDigits[byte >> 4]);
+    hex.push_back(kDigits[byte & 0xF]);
+  }
+  return hex;
+}
+
+std::vector<uint64_t> Bits(std::span<const double> values) {
+  std::vector<uint64_t> bits;
+  for (double v : values) bits.push_back(std::bit_cast<uint64_t>(v));
+  return bits;
+}
+
+TEST(WireFormatTest, FrameBytesArePinned) {
+  // WAL segments and checkpoints written by earlier builds are read back
+  // by later ones, so the exact frame bytes are a compatibility contract,
+  // not an implementation detail. These hex strings were produced by the
+  // byte-at-a-time encoder that preceded the bulk-copy codec.
+  const std::string kD1Frame =
+      "c5b1d1f9d603073200000000000000c0000000000000febf000000000000fcbf"
+      "0000000000000080000000000000f8bf000000000000f6bf000000000000f4bf"
+      "cdab896745230100000000000000f0bf000000000000ecbf000000000000e8bf"
+      "ffffffffffffef7f000000000000e0bfefbeadde0000f8ff000000000000d0bf"
+      "000000000000c0bf0000000000000000000000000000c03f000000000000d03f"
+      "000000000000d83f000000000000e03f000000000000e43f000000000000e83f"
+      "000000000000ec3f000000000000f03f000000000000f23f000000000000f43f"
+      "000000000000f63f000000000000f83f000000000000fa3f000000000000fc3f"
+      "000000000000fe3f000000000000004000000000000001400000000000000240"
+      "0000000000000340000000000000044000000000000005400000000000000640"
+      "0000000000000740000000000000084000000000000009400000000000000a40"
+      "0000000000000b400000000000000c400000000000000d400000000000000e40"
+      "0000000000000f40000000000000104000000000008010400dfea4c5";
+  const std::string kD4Frame =
+      "c62aac02041000000000000000c0000000000000febf000000000000fcbf0000"
+      "000000000080000000000000f8bf000000000000f6bf000000000000f4bfcdab"
+      "896745230100000000000000f0bf000000000000ecbf000000000000e8bfffff"
+      "ffffffffef7f000000000000e0bfefbeadde0000f8ff000000000000d0bf0000"
+      "00000000c0bf20b86782";
+
+  const std::vector<double> d1_run = GoldenPayload(50);
+  std::vector<uint8_t> d1;
+  AppendUserRunFrame(987654321, 7, d1_run, d1);
+  EXPECT_EQ(Hex(d1), kD1Frame);
+
+  const std::vector<double> d4_run = GoldenPayload(16);  // 4 dims x 4 slots
+  std::vector<uint8_t> d4;
+  AppendMultiDimRunFrame(42, 300, 4, d4_run, d4);
+  EXPECT_EQ(Hex(d4), kD4Frame);
+
+  uint64_t user = 0;
+  uint64_t base = 0;
+  uint64_t dims = 0;
+  std::vector<double> decoded;
+  auto used = DecodeUserRunFrame(d1, &user, &base, &dims, decoded);
+  ASSERT_TRUE(used.ok()) << used.status().ToString();
+  EXPECT_EQ(*used, d1.size());
+  EXPECT_EQ(user, 987654321u);
+  EXPECT_EQ(base, 7u);
+  EXPECT_EQ(dims, 1u);
+  EXPECT_EQ(Bits(decoded), Bits(d1_run));
+
+  used = DecodeUserRunFrame(d4, &user, &base, &dims, decoded);
+  ASSERT_TRUE(used.ok()) << used.status().ToString();
+  EXPECT_EQ(*used, d4.size());
+  EXPECT_EQ(user, 42u);
+  EXPECT_EQ(base, 300u);
+  EXPECT_EQ(dims, 4u);
+  EXPECT_EQ(Bits(decoded), Bits(d4_run));
 }
 
 TEST(WireFormatTest, ConcatenatedFramesDecodeSequentially) {
