@@ -13,22 +13,12 @@
 #include "core/rng.h"
 #include "stream/gap_fill.h"
 #include "telemetry/instruments.h"
+#include "transport/wire_format.h"
 
 namespace capp {
 namespace {
 
 constexpr double kMissing = std::numeric_limits<double>::quiet_NaN();
-
-// Saturating histogram-bin increment (see Shard::histogram): a bin
-// pinned at 2^32 - 1 stops counting and reports through the shard's
-// saturated_reports channel instead of silently wrapping.
-inline void BumpBin(uint32_t& bin, uint64_t& saturated_reports) {
-  if (bin == std::numeric_limits<uint32_t>::max()) {
-    ++saturated_reports;
-  } else {
-    ++bin;
-  }
-}
 
 // Reads values[slot][dense] treating short rows as missing.
 double RawValueAt(const std::vector<std::vector<double>>& values, size_t slot,
@@ -38,7 +28,7 @@ double RawValueAt(const std::vector<std::vector<double>>& values, size_t slot,
   return dense < row.size() ? row[dense] : kMissing;
 }
 
-// Single-writer storage keeps each SlotAggregate as its five Packed
+// The aggregate store keeps each SlotAggregate as its five Packed
 // words in a flat atomic array; these convert between the two forms.
 // All accesses are relaxed: the seqlock's sequence counter and fences
 // provide the ordering, the atomics only keep the racing word accesses
@@ -66,7 +56,7 @@ inline void StorePackedSlot(std::atomic<uint64_t>* words,
 }
 
 // Allocates a zero-initialized, 64-byte-aligned array of atomics for the
-// owned (seqlock) storage. make_unique's allocation is only 16-byte
+// seqlock-published aggregate store. make_unique's allocation is only 16-byte
 // aligned, so the packed 5-word (40-byte) aggregate slots started at an
 // arbitrary cache-line offset: which line a given slot's words straddle
 // depended on where the allocator happened to place the array, and the
@@ -75,9 +65,7 @@ inline void StorePackedSlot(std::atomic<uint64_t>* words,
 // of the slot index (slots t and t+1 share a line on a fixed 8-slot /
 // 5-line cadence) and lets the run walk stream through whole lines.
 // Measured with bench_transport_throughput's queue_owned row (200k
-// users x 50 slots, best of 5): 27.0M -> 31.2M reports/s, while the
-// mutex-mode d=1 bench_engine_throughput row stayed within noise of its
-// baseline (0.98x best-of-5, above the 0.95x floor).
+// users x 50 slots, best of 5): 27.0M -> 31.2M reports/s.
 template <typename T>
 AlignedAtomicArray<T> MakeAlignedZeroed(size_t n) {
   static_assert(std::is_trivially_destructible_v<T>,
@@ -151,25 +139,17 @@ size_t ShardedCollector::ShardIndex(uint64_t user_id) const {
   return SplitMix64Mix(user_id) % shards_.size();
 }
 
-void ShardedCollector::GrowSlots(Shard& shard, size_t end_slot) {
-  if (end_slot <= shard.slots.size()) return;
-  shard.slots.resize(end_slot);
-  if (options_.histogram.enabled) {
-    shard.histogram.resize(end_slot * options_.histogram.row_size(), 0);
-  }
-}
-
 void ShardedCollector::GrowOwnedSlots(Shard& shard, size_t end_slot) {
-  // The mutex here excludes in-flight seqlock readers (they hold it for
-  // their whole snapshot), so the swap below can never reallocate the
-  // arrays out from under a racing copy. Only the owner grows, so
-  // owned_slots / owned_capacity are stable outside the lock for it.
-  std::lock_guard<std::mutex> lock(shard.mu);
+  // The caller's mutex excludes in-flight seqlock readers (they hold it
+  // for their whole snapshot), so the swap below can never reallocate
+  // the arrays out from under a racing copy. Only the shard's writer
+  // grows, so owned_slots / owned_capacity are stable outside the lock
+  // for it.
   if (end_slot > shard.owned_capacity) {
     size_t capacity = std::max<size_t>(shard.owned_capacity * 2, 64);
     capacity = std::max(capacity, end_slot);
     // MakeAlignedZeroed value-initializes, so the new tail slots are zero
-    // -- an empty SlotAggregate / empty bins, exactly like GrowSlots.
+    // -- an empty SlotAggregate and empty bins.
     auto packed =
         MakeAlignedZeroed<std::atomic<uint64_t>>(capacity * kPackedWords);
     for (size_t w = 0; w < shard.owned_slots * kPackedWords; ++w) {
@@ -193,14 +173,14 @@ void ShardedCollector::GrowOwnedSlots(Shard& shard, size_t end_slot) {
   shard.owned_slots = end_slot;
 }
 
-void ShardedCollector::IngestOwnedRun(Shard& shard, uint64_t user_id,
-                                      size_t base_slot,
-                                      std::span<const double> values,
-                                      size_t first, size_t last) {
-  // Owner-private bookkeeping: exactly one thread ever ingests into
-  // this shard (the single_writer contract), so the user index and
-  // dense arrays need no lock. Cross-thread per-user queries are
-  // answered only from the owner or after quiescence (see the header).
+uint32_t ShardedCollector::RegisterRunUser(Shard& shard, uint64_t user_id,
+                                           size_t base_slot, size_t first,
+                                           size_t last) {
+  // Writer-private bookkeeping: in mutex mode the writer holds the lock;
+  // in single-writer mode exactly one thread ever ingests into this
+  // shard, so the user index and dense arrays need no lock. Cross-thread
+  // per-user queries are then answered only from the owner or after
+  // quiescence (see the header).
   const auto [it, inserted] = shard.index.try_emplace(
       user_id, static_cast<uint32_t>(shard.last_slot.size()));
   const uint32_t dense = it->second;
@@ -213,8 +193,25 @@ void ShardedCollector::IngestOwnedRun(Shard& shard, uint64_t user_id,
   }
   shard.last_slot[dense] = std::max(
       shard.last_slot[dense], static_cast<uint32_t>(base_slot + last));
+  return dense;
+}
+
+void ShardedCollector::IngestOwnedRun(Shard& shard,
+                                      std::unique_lock<std::mutex>& lock,
+                                      uint64_t user_id, size_t base_slot,
+                                      std::span<const double> values,
+                                      size_t first, size_t last) {
+  const uint32_t dense =
+      RegisterRunUser(shard, user_id, base_slot, first, last);
   const size_t end_slot = base_slot + last + 1;
-  if (end_slot > shard.owned_slots) GrowOwnedSlots(shard, end_slot);
+  if (end_slot > shard.owned_slots) {
+    if (lock.owns_lock()) {
+      GrowOwnedSlots(shard, end_slot);
+    } else {
+      std::lock_guard<std::mutex> grow_lock(shard.mu);
+      GrowOwnedSlots(shard, end_slot);
+    }
+  }
 
   // Seqlock write section: bump to odd, release-fence so the data
   // stores cannot be ordered before it, mutate, then publish with a
@@ -246,7 +243,7 @@ void ShardedCollector::IngestOwnedRun(Shard& shard, uint64_t user_id,
           rows[i * row_size + hist.BinFor(values[i])];
       const uint32_t count = bin.load(std::memory_order_relaxed);
       if (count == std::numeric_limits<uint32_t>::max()) {
-        ++saturated;  // same pinned-bin semantics as BumpBin
+        ++saturated;  // pinned bin: see Shard::owned_histogram
       } else {
         bin.store(count + 1, std::memory_order_relaxed);
       }
@@ -270,8 +267,10 @@ size_t ShardedCollector::SnapshotOwned(const Shard& shard,
                                        std::vector<uint32_t>* hist) const {
   // Seqlock read: copy the words, then retry if the owner was inside a
   // write section (odd sequence) or wrote during the copy (sequence
-  // moved). Holding the mutex blocks only capacity growth -- never the
-  // ingest fast path -- so readers cannot perturb the throughput win.
+  // moved). Holding the mutex blocks only a single writer's capacity
+  // growth -- never its ingest -- so readers cannot perturb its
+  // throughput; a mutex-mode writer holds it across its whole run, so
+  // there the copy never retries.
   std::lock_guard<std::mutex> lock(shard.mu);
   const size_t slots = shard.owned_slots;
   const size_t words = slots * kPackedWords;
@@ -308,72 +307,69 @@ void ShardedCollector::CountSeqlockRetry() const {
   }
 }
 
-void ShardedCollector::IngestLocked(Shard& shard, const SlotReport& report) {
-  // Non-finite values would collide with the NaN missing-slot sentinel and
-  // poison the streaming aggregates; no library path produces them
-  // (perturbers sanitize, report I/O validates), so a garbage report from
-  // an external transport is simply discarded.
-  if (!std::isfinite(report.value)) return;
-  const auto [it, inserted] =
-      shard.index.try_emplace(report.user_id,
-                              static_cast<uint32_t>(shard.last_slot.size()));
-  const uint32_t dense = it->second;
-  if (inserted) {
-    shard.last_slot.push_back(static_cast<uint32_t>(report.slot));
-    shard.reports_per_user.push_back(0);
-  } else {
-    shard.last_slot[dense] = std::max(shard.last_slot[dense],
-                                      static_cast<uint32_t>(report.slot));
-  }
-  GrowSlots(shard, report.slot + 1);
+void ShardedCollector::IngestStreamRun(Shard& shard, uint64_t user_id,
+                                       size_t base_slot,
+                                       std::span<const double> values,
+                                       size_t first, size_t last) {
+  const uint32_t dense =
+      RegisterRunUser(shard, user_id, base_slot, first, last);
+  const size_t end_slot = base_slot + last + 1;
+  if (end_slot > shard.owned_slots) GrowOwnedSlots(shard, end_slot);
+  if (end_slot > shard.values.size()) shard.values.resize(end_slot);
   const SlotHistogramOptions& hist = options_.histogram;
-  uint32_t* hist_row =
-      hist.enabled ? shard.histogram.data() + report.slot * hist.row_size()
-                   : nullptr;
+  const size_t row_size = hist.row_size();
 
-  if (options_.keep_streams) {
-    if (report.slot >= shard.values.size()) {
-      shard.values.resize(report.slot + 1);
-    }
-    std::vector<double>& row = shard.values[report.slot];
+  // The same write section as IngestOwnedRun. The caller's mutex already
+  // keeps readers out, so the sequence bump only keeps the store's one
+  // publication protocol.
+  const uint64_t seq = shard.seq.load(std::memory_order_relaxed);
+  shard.seq.store(seq + 1, std::memory_order_relaxed);
+  std::atomic_thread_fence(std::memory_order_release);
+  size_t ingested = 0;
+  uint64_t saturated = 0;
+  for (size_t i = first; i <= last; ++i) {
+    if (!std::isfinite(values[i])) continue;
+    const size_t slot = base_slot + i;
+    std::vector<double>& row = shard.values[slot];
     if (dense >= row.size()) row.resize(dense + 1, kMissing);
     const double old_value = row[dense];
-    row[dense] = report.value;
-    if (std::isnan(old_value)) {
-      if (shard.slots[report.slot].Add(report.value)) {
-        ++shard.saturated_reports;
-      }
-      if (hist_row != nullptr) {
-        BumpBin(hist_row[hist.BinFor(report.value)],
-                shard.saturated_reports);
-      }
-      ++shard.reports_per_user[dense];
-      ++shard.report_count;
-    } else {
+    row[dense] = values[i];
+    const bool fresh = std::isnan(old_value);
+    std::atomic<uint64_t>* words =
+        shard.owned_packed.get() + slot * kPackedWords;
+    SlotAggregate aggregate = LoadPackedSlot(words);
+    saturated += static_cast<uint64_t>(
+        fresh ? aggregate.Add(values[i])
+              : aggregate.Replace(old_value, values[i]));
+    StorePackedSlot(words, aggregate);
+    ingested += fresh ? 1 : 0;  // an overwrite counts once
+    if (!hist.enabled) continue;
+    std::atomic<uint32_t>* bins =
+        shard.owned_histogram.get() + slot * row_size;
+    if (!fresh) {
       // Overwrite: move the old value's unit count to the new bin, the
       // histogram analogue of SlotAggregate::Replace.
-      if (shard.slots[report.slot].Replace(old_value, report.value)) {
-        ++shard.saturated_reports;
-      }
-      if (hist_row != nullptr) {
-        --hist_row[hist.BinFor(old_value)];
-        BumpBin(hist_row[hist.BinFor(report.value)],
-                shard.saturated_reports);
-      }
+      std::atomic<uint32_t>& old_bin = bins[hist.BinFor(old_value)];
+      old_bin.store(old_bin.load(std::memory_order_relaxed) - 1,
+                    std::memory_order_relaxed);
     }
-  } else {
-    // Aggregate-only mode cannot see a previous value, so every report is
-    // treated as new (the documented at-most-once contract).
-    if (shard.slots[report.slot].Add(report.value)) {
-      ++shard.saturated_reports;
+    std::atomic<uint32_t>& bin = bins[hist.BinFor(values[i])];
+    const uint32_t count = bin.load(std::memory_order_relaxed);
+    if (count == std::numeric_limits<uint32_t>::max()) {
+      ++saturated;  // pinned bin: see Shard::owned_histogram
+    } else {
+      bin.store(count + 1, std::memory_order_relaxed);
     }
-    if (hist_row != nullptr) {
-      BumpBin(hist_row[hist.BinFor(report.value)],
-              shard.saturated_reports);
-    }
-    ++shard.reports_per_user[dense];
-    ++shard.report_count;
   }
+  shard.seq.store(seq + 2, std::memory_order_release);
+
+  shard.reports_per_user[dense] += static_cast<uint32_t>(ingested);
+  shard.owned_reports.store(
+      shard.owned_reports.load(std::memory_order_relaxed) + ingested,
+      std::memory_order_relaxed);
+  shard.owned_saturated.store(
+      shard.owned_saturated.load(std::memory_order_relaxed) + saturated,
+      std::memory_order_relaxed);
 }
 
 void ShardedCollector::ReserveUsers(size_t expected_users) {
@@ -391,8 +387,12 @@ void ShardedCollector::ReserveUsers(size_t expected_users) {
 
 void ShardedCollector::IngestUserRun(uint64_t user_id, size_t base_slot,
                                      std::span<const double> values) {
-  // Like Ingest, non-finite values are discarded -- before registration,
-  // so a run with no finite value must not create the user.
+  // The wire decoder's bound for in-process callers: every cell of the
+  // run lies below kWireMaxRunLength, so base_slot + i can neither wrap
+  // nor index past what the store can grow to.
+  CAPP_CHECK(RunFitsCellBound(base_slot, /*dims=*/1, values.size()));
+  // Non-finite values are discarded -- before registration, so a run
+  // with no finite value must not create the user.
   size_t first = 0;
   while (first < values.size() && !std::isfinite(values[first])) ++first;
   if (first == values.size()) return;
@@ -409,175 +409,40 @@ void ShardedCollector::IngestUserRun(uint64_t user_id, size_t base_slot,
   }
 
   Shard& shard = *shards_[ShardIndex(user_id)];
-  if (options_.single_writer) {
-    IngestOwnedRun(shard, user_id, base_slot, values, first, last);
+  // The one place the writer disciplines differ: a mutex-mode writer
+  // holds the shard mutex across the whole run; a single writer is the
+  // shard's only ingesting thread and locks only around a grow.
+  std::unique_lock<std::mutex> lock(shard.mu, std::defer_lock);
+  if (!options_.single_writer) lock.lock();
+  if (options_.keep_streams) {
+    // Create() pairs keep_streams with mutex mode only.
+    IngestStreamRun(shard, user_id, base_slot, values, first, last);
     return;
   }
-  std::lock_guard<std::mutex> lock(shard.mu);
-  // Resolve the user's dense index once for the run.
-  const auto [it, inserted] =
-      shard.index.try_emplace(user_id,
-                              static_cast<uint32_t>(shard.last_slot.size()));
-  const uint32_t dense = it->second;
-  if (inserted) {
-    shard.last_slot.push_back(static_cast<uint32_t>(base_slot + first));
-    shard.reports_per_user.push_back(0);
-  }
-  shard.last_slot[dense] = std::max(
-      shard.last_slot[dense], static_cast<uint32_t>(base_slot + last));
-  const size_t end_slot = base_slot + last + 1;  // one past the run
-  GrowSlots(shard, end_slot);
-  const SlotHistogramOptions& hist = options_.histogram;
-
-  if (!options_.keep_streams) {
-    // Aggregate-only fast path: one exact add per slot and bulk counter
-    // updates; nothing else to maintain. Saturation is accumulated
-    // branchlessly (Add's bool as 0/1) so the loop carries no
-    // data-dependent branch besides the all-finite check.
-    size_t ingested = 0;
-    uint64_t saturated = 0;
-    SlotAggregate* const slots_base = shard.slots.data() + base_slot;
-    for (size_t i = first; i <= last; ++i) {
-      if (!std::isfinite(values[i])) continue;
-      saturated += static_cast<uint64_t>(slots_base[i].Add(values[i]));
-      ++ingested;
-    }
-    shard.saturated_reports += saturated;
-    if (hist.enabled) {
-      // Separate pass for the bins: keeps the aggregate loop's int128
-      // dependency chain free of the bin math and the strided row
-      // stores, which measurably beats a fused loop at 1M users.
-      const size_t row_size = hist.row_size();
-      uint32_t* rows = shard.histogram.data() + base_slot * row_size;
-      for (size_t i = first; i <= last; ++i) {
-        if (!std::isfinite(values[i])) continue;
-        BumpBin(rows[i * row_size + hist.BinFor(values[i])],
-                shard.saturated_reports);
-      }
-    }
-    shard.reports_per_user[dense] += static_cast<uint32_t>(ingested);
-    shard.report_count += ingested;
-    return;
-  }
-
-  if (end_slot > shard.values.size()) shard.values.resize(end_slot);
-  for (size_t i = first; i <= last; ++i) {
-    if (!std::isfinite(values[i])) continue;
-    const size_t slot = base_slot + i;
-    std::vector<double>& row = shard.values[slot];
-    if (dense >= row.size()) row.resize(dense + 1, kMissing);
-    const double old_value = row[dense];
-    row[dense] = values[i];
-    uint32_t* hist_row =
-        hist.enabled ? shard.histogram.data() + slot * hist.row_size()
-                     : nullptr;
-    if (std::isnan(old_value)) {
-      if (shard.slots[slot].Add(values[i])) ++shard.saturated_reports;
-      if (hist_row != nullptr) {
-        BumpBin(hist_row[hist.BinFor(values[i])],
-                shard.saturated_reports);
-      }
-      ++shard.reports_per_user[dense];
-      ++shard.report_count;
-    } else {
-      if (shard.slots[slot].Replace(old_value, values[i])) {
-        ++shard.saturated_reports;
-      }
-      if (hist_row != nullptr) {
-        --hist_row[hist.BinFor(old_value)];
-        BumpBin(hist_row[hist.BinFor(values[i])],
-                shard.saturated_reports);
-      }
-    }
-  }
+  IngestOwnedRun(shard, lock, user_id, base_slot, values, first, last);
 }
 
-void ShardedCollector::Ingest(const SlotReport& report) {
-  if (options_.single_writer) {
-    // Funnel through the run path: single-writer storage has no locked
-    // per-report variant, and aggregate-only mode (which single_writer
-    // implies) treats every report as new either way.
-    IngestUserRun(report.user_id, report.slot, {&report.value, 1});
-    return;
+uint64_t ShardedCollector::SumCounter(
+    std::atomic<uint64_t> Shard::*counter) const {
+  // Dedicated atomic counters, so these totals never touch a writer's
+  // index map or lock.
+  uint64_t total = 0;
+  for (const auto& shard : shards_) {
+    total += ((*shard).*counter).load(std::memory_order_relaxed);
   }
-  Shard& shard = *shards_[ShardIndex(report.user_id)];
-  std::lock_guard<std::mutex> lock(shard.mu);
-  IngestLocked(shard, report);
-}
-
-void ShardedCollector::IngestBatch(std::span<const SlotReport> reports) {
-  if (reports.empty()) return;
-  if (options_.single_writer) {
-    for (const SlotReport& report : reports) {
-      IngestUserRun(report.user_id, report.slot, {&report.value, 1});
-    }
-    return;
-  }
-  if (shards_.size() == 1) {
-    Shard& shard = *shards_[0];
-    std::lock_guard<std::mutex> lock(shard.mu);
-    for (const SlotReport& report : reports) IngestLocked(shard, report);
-    return;
-  }
-  // Bucket report indices by shard in one pass, then lock each shard once.
-  std::vector<std::vector<uint32_t>> buckets(shards_.size());
-  for (size_t i = 0; i < reports.size(); ++i) {
-    buckets[ShardIndex(reports[i].user_id)].push_back(
-        static_cast<uint32_t>(i));
-  }
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    if (buckets[s].empty()) continue;
-    Shard& shard = *shards_[s];
-    std::lock_guard<std::mutex> lock(shard.mu);
-    for (uint32_t i : buckets[s]) IngestLocked(shard, reports[i]);
-  }
+  return total;
 }
 
 size_t ShardedCollector::user_count() const {
-  size_t total = 0;
-  if (options_.single_writer) {
-    // The owner maintains a dedicated atomic counter precisely so this
-    // query never touches its lock-free index map.
-    for (const auto& shard : shards_) {
-      total += shard->owned_users.load(std::memory_order_relaxed);
-    }
-    return total;
-  }
-  for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    total += shard->index.size();
-  }
-  return total;
+  return SumCounter(&Shard::owned_users);
 }
 
 size_t ShardedCollector::report_count() const {
-  size_t total = 0;
-  if (options_.single_writer) {
-    for (const auto& shard : shards_) {
-      total += shard->owned_reports.load(std::memory_order_relaxed);
-    }
-    return total;
-  }
-  for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    total += shard->report_count;
-  }
-  return total;
+  return SumCounter(&Shard::owned_reports);
 }
 
 uint64_t ShardedCollector::saturated_report_count() const {
-  uint64_t total = 0;
-  if (options_.single_writer) {
-    for (const auto& shard : shards_) {
-      total += shard->owned_saturated.load(std::memory_order_relaxed);
-    }
-    return total;
-  }
-  for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    total += shard->saturated_reports;
-  }
-  return total;
+  return SumCounter(&Shard::owned_saturated);
 }
 
 uint64_t ShardedCollector::seqlock_read_retries() const {
@@ -601,8 +466,7 @@ size_t ShardedCollector::SlotSpan() const {
   size_t span = 0;
   for (const auto& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard->mu);
-    span = std::max(span, options_.single_writer ? shard->owned_slots
-                                                 : shard->slots.size());
+    span = std::max(span, shard->owned_slots);
   }
   return span;
 }
@@ -656,27 +520,12 @@ Result<double> ShardedCollector::SubsequenceMean(uint64_t user_id,
 
 std::vector<SlotAggregate> ShardedCollector::PopulationSlotAggregates() const {
   std::vector<SlotAggregate> merged;
-  if (options_.single_writer) {
-    std::vector<uint64_t> packed;
-    for (const auto& shard : shards_) {
-      const size_t slots = SnapshotOwned(*shard, packed, nullptr);
-      if (slots > merged.size()) merged.resize(slots);
-      for (size_t t = 0; t < slots; ++t) {
-        merged[t].Merge(UnpackSnapshotSlot(packed.data() +
-                                           t * kPackedWords));
-      }
-    }
-    return merged;
-  }
+  std::vector<uint64_t> packed;
   for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    // Sized inside the lock: a concurrent ingest may have grown a shard
-    // past any span observed before this loop.
-    if (shard->slots.size() > merged.size()) {
-      merged.resize(shard->slots.size());
-    }
-    for (size_t t = 0; t < shard->slots.size(); ++t) {
-      merged[t].Merge(shard->slots[t]);
+    const size_t slots = SnapshotOwned(*shard, packed, nullptr);
+    if (slots > merged.size()) merged.resize(slots);
+    for (size_t t = 0; t < slots; ++t) {
+      merged[t].Merge(UnpackSnapshotSlot(packed.data() + t * kPackedWords));
     }
   }
   return merged;
@@ -690,31 +539,15 @@ ShardedCollector::PopulationSlotHistograms() const {
   }
   const size_t row_size = options_.histogram.row_size();
   std::vector<std::vector<uint64_t>> merged;
-  if (options_.single_writer) {
-    std::vector<uint64_t> packed;
-    std::vector<uint32_t> bins;
-    for (const auto& shard : shards_) {
-      const size_t slots = SnapshotOwned(*shard, packed, &bins);
-      if (slots > merged.size()) {
-        merged.resize(slots, std::vector<uint64_t>(row_size, 0));
-      }
-      for (size_t t = 0; t < slots; ++t) {
-        const uint32_t* row = bins.data() + t * row_size;
-        for (size_t b = 0; b < row_size; ++b) merged[t][b] += row[b];
-      }
-    }
-    return merged;
-  }
+  std::vector<uint64_t> packed;
+  std::vector<uint32_t> bins;
   for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    // Sized inside the lock, like PopulationSlotAggregates: a concurrent
-    // ingest may have grown a shard past any previously observed span.
-    const size_t shard_slots = shard->histogram.size() / row_size;
-    if (shard_slots > merged.size()) {
-      merged.resize(shard_slots, std::vector<uint64_t>(row_size, 0));
+    const size_t slots = SnapshotOwned(*shard, packed, &bins);
+    if (slots > merged.size()) {
+      merged.resize(slots, std::vector<uint64_t>(row_size, 0));
     }
-    for (size_t t = 0; t < shard_slots; ++t) {
-      const uint32_t* row = shard->histogram.data() + t * row_size;
+    for (size_t t = 0; t < slots; ++t) {
+      const uint32_t* row = bins.data() + t * row_size;
       for (size_t b = 0; b < row_size; ++b) merged[t][b] += row[b];
     }
   }
@@ -725,23 +558,13 @@ uint64_t ShardedCollector::histogram_outlier_count() const {
   if (!options_.histogram.enabled) return 0;
   const size_t row_size = options_.histogram.row_size();
   uint64_t total = 0;
-  if (options_.single_writer) {
-    std::vector<uint64_t> packed;
-    std::vector<uint32_t> bins;
-    for (const auto& shard : shards_) {
-      const size_t slots = SnapshotOwned(*shard, packed, &bins);
-      for (size_t t = 0; t < slots; ++t) {
-        total += bins[t * row_size] + bins[t * row_size + row_size - 1];
-      }
-    }
-    return total;
-  }
+  std::vector<uint64_t> packed;
+  std::vector<uint32_t> bins;
   for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
+    const size_t slots = SnapshotOwned(*shard, packed, &bins);
     // Under/overflow are the first and last entry of each slot row.
-    for (size_t t = 0; t < shard->histogram.size() / row_size; ++t) {
-      total += shard->histogram[t * row_size] +
-               shard->histogram[t * row_size + row_size - 1];
+    for (size_t t = 0; t < slots; ++t) {
+      total += bins[t * row_size] + bins[t * row_size + row_size - 1];
     }
   }
   return total;
@@ -757,43 +580,30 @@ Result<CollectorShardState> ShardedCollector::ExportShardState(
         "shard snapshots cover aggregate-only mode (keep_streams = "
         "false); raw streams are not serialized");
   }
+  // The aggregate arrays come through the seqlock like any reader's.
+  // The per-user bookkeeping is copied under the mutex, which makes it
+  // consistent with the arrays only once ingest has quiesced -- which
+  // the only caller, the checkpoint tier, guarantees with its exclusive
+  // lock (and recovery runs before any ingest).
   const Shard& shard = *shards_[shard_index];
-  if (options_.single_writer) {
-    // The aggregate arrays come through the seqlock like any reader's;
-    // the per-user bookkeeping below is owner-private, so this path
-    // additionally requires the owner thread or quiescence -- which its
-    // only caller, the checkpoint tier, guarantees with its exclusive
-    // lock (and recovery runs before any ingest).
-    std::vector<uint64_t> packed;
-    std::vector<uint32_t> bins;
-    CollectorShardState state;
-    const size_t slots = SnapshotOwned(shard, packed, &bins);
-    state.slots.resize(slots);
-    for (size_t t = 0; t < slots; ++t) {
-      state.slots[t] = UnpackSnapshotSlot(packed.data() + t * kPackedWords);
-    }
-    state.histogram.assign(bins.begin(), bins.end());
-    state.users.resize(shard.last_slot.size());
-    for (const auto& [user_id, dense] : shard.index) {
-      state.users[dense] = {user_id, shard.last_slot[dense],
-                            shard.reports_per_user[dense]};
-    }
-    state.report_count = shard.owned_reports.load(std::memory_order_relaxed);
-    state.saturated_reports =
-        shard.owned_saturated.load(std::memory_order_relaxed);
-    return state;
-  }
-  std::lock_guard<std::mutex> lock(shard.mu);
+  std::vector<uint64_t> packed;
+  std::vector<uint32_t> bins;
   CollectorShardState state;
+  const size_t slots = SnapshotOwned(shard, packed, &bins);
+  state.slots.resize(slots);
+  for (size_t t = 0; t < slots; ++t) {
+    state.slots[t] = UnpackSnapshotSlot(packed.data() + t * kPackedWords);
+  }
+  state.histogram.assign(bins.begin(), bins.end());
+  std::lock_guard<std::mutex> lock(shard.mu);
   state.users.resize(shard.last_slot.size());
   for (const auto& [user_id, dense] : shard.index) {
     state.users[dense] = {user_id, shard.last_slot[dense],
                           shard.reports_per_user[dense]};
   }
-  state.slots = shard.slots;
-  state.histogram = shard.histogram;
-  state.report_count = shard.report_count;
-  state.saturated_reports = shard.saturated_reports;
+  state.report_count = shard.owned_reports.load(std::memory_order_relaxed);
+  state.saturated_reports =
+      shard.owned_saturated.load(std::memory_order_relaxed);
   return state;
 }
 
@@ -819,11 +629,8 @@ Status ShardedCollector::RestoreShardState(size_t shard_index,
   }
   Shard& shard = *shards_[shard_index];
   std::lock_guard<std::mutex> lock(shard.mu);
-  const uint64_t prior_reports =
-      options_.single_writer
-          ? shard.owned_reports.load(std::memory_order_relaxed)
-          : shard.report_count;
-  if (!shard.index.empty() || prior_reports != 0) {
+  if (!shard.index.empty() ||
+      shard.owned_reports.load(std::memory_order_relaxed) != 0) {
     return Status::FailedPrecondition(
         "RestoreShardState wants an empty shard (restore runs before any "
         "ingest)");
@@ -846,37 +653,29 @@ Status ShardedCollector::RestoreShardState(size_t shard_index,
     shard.last_slot[dense] = entry.last_slot;
     shard.reports_per_user[dense] = entry.reports;
   }
-  if (options_.single_writer) {
-    // Restore runs single-threaded before any ingest, so plain relaxed
-    // stores into freshly allocated atomic arrays suffice.
-    const size_t slots = state.slots.size();
-    shard.owned_packed =
-        MakeAlignedZeroed<std::atomic<uint64_t>>(slots * kPackedWords);
-    for (size_t t = 0; t < slots; ++t) {
-      StorePackedSlot(shard.owned_packed.get() + t * kPackedWords,
-                      state.slots[t]);
-    }
-    if (options_.histogram.enabled) {
-      shard.owned_histogram =
-          MakeAlignedZeroed<std::atomic<uint32_t>>(state.histogram.size());
-      for (size_t b = 0; b < state.histogram.size(); ++b) {
-        shard.owned_histogram[b].store(state.histogram[b],
-                                       std::memory_order_relaxed);
-      }
-    }
-    shard.owned_capacity = slots;
-    shard.owned_slots = slots;
-    shard.owned_users.store(state.users.size(), std::memory_order_relaxed);
-    shard.owned_reports.store(state.report_count,
-                              std::memory_order_relaxed);
-    shard.owned_saturated.store(state.saturated_reports,
-                                std::memory_order_relaxed);
-    return Status::OK();
+  // Restore runs single-threaded before any ingest, so plain relaxed
+  // stores into freshly allocated atomic arrays suffice.
+  const size_t slots = state.slots.size();
+  shard.owned_packed =
+      MakeAlignedZeroed<std::atomic<uint64_t>>(slots * kPackedWords);
+  for (size_t t = 0; t < slots; ++t) {
+    StorePackedSlot(shard.owned_packed.get() + t * kPackedWords,
+                    state.slots[t]);
   }
-  shard.slots = std::move(state.slots);
-  shard.histogram = std::move(state.histogram);
-  shard.report_count = static_cast<size_t>(state.report_count);
-  shard.saturated_reports = state.saturated_reports;
+  if (options_.histogram.enabled) {
+    shard.owned_histogram =
+        MakeAlignedZeroed<std::atomic<uint32_t>>(state.histogram.size());
+    for (size_t b = 0; b < state.histogram.size(); ++b) {
+      shard.owned_histogram[b].store(state.histogram[b],
+                                     std::memory_order_relaxed);
+    }
+  }
+  shard.owned_capacity = slots;
+  shard.owned_slots = slots;
+  shard.owned_users.store(state.users.size(), std::memory_order_relaxed);
+  shard.owned_reports.store(state.report_count, std::memory_order_relaxed);
+  shard.owned_saturated.store(state.saturated_reports,
+                              std::memory_order_relaxed);
   return Status::OK();
 }
 

@@ -1,21 +1,38 @@
 // Sharded, thread-safe collector storage: the in-RAM CollectorBackend
-// behind CollectorSession and the Fleet simulator.
+// behind the Fleet simulator, the transport hub and collector_server.
 //
 // The seed collector stored reports in std::map<user, std::map<slot, v>>,
 // which is pointer-chasing-heavy and single-threaded. ShardedCollector
 // replaces it with:
 //
-//   * N independent shards, each guarded by its own mutex; a report's shard
-//     is a splitmix64 hash of its user id, so concurrent writers touching
-//     different users rarely contend.
-//   * Flat per-shard storage: user ids map to dense indices through one
-//     unordered_map lookup; values live in slot-major arrays
-//     (values[slot][dense_user]) with NaN marking missing reports.
-//   * Streaming per-slot aggregates (count / fixed-point exact sums of x
-//     and x^2, including the reverse update for overwritten reports), so
-//     population means and variances are O(1) per report, bit-identical
-//     for any ingest order, and remain available in aggregate-only mode
-//     where raw streams are never materialized.
+//   * N independent shards; a run's shard is a splitmix64 hash of its
+//     user id, so concurrent writers touching different users rarely
+//     contend.
+//   * Flat per-shard bookkeeping: user ids map to dense indices through
+//     one unordered_map lookup; with keep_streams the raw values live in
+//     slot-major rows (values[slot][dense_user]) with NaN marking missing
+//     reports.
+//   * One aggregate store: exact fixed-point per-slot aggregates (count
+//     and sums of x and x^2, including the reverse update for overwritten
+//     reports) kept as their five SlotAggregate::Packed words in a flat
+//     64-byte-aligned atomic array, plus uint32 histogram bins when the
+//     tier is on. Population means and variances are O(1) per report and
+//     bit-identical for any ingest order.
+//
+// Every write brackets itself with a per-shard seqlock (odd/even
+// sequence counter), and aggregate readers copy the words and retry if
+// the sequence was odd or moved, so a reader never observes a torn run.
+// Readers hold the shard mutex across their copy, which excludes the
+// rare capacity doubling of the arrays. The two writer disciplines
+// differ only in who holds that mutex while writing:
+//
+//   * Mutex mode (single_writer = false, the default): any thread may
+//     ingest; each run holds its shard's mutex across the whole write,
+//     so a reader can never meet an odd sequence (zero retries).
+//   * Single-writer mode (single_writer = true): the transport's shard
+//     affinity routes every shard to exactly one consumer thread, so the
+//     write skips the mutex and takes it only around a grow; concurrent
+//     readers retry instead of blocking the owner.
 //
 // Aggregate-only mode (keep_streams = false) is what lets the engine run
 // million-user fleets: per-report cost and memory are independent of the
@@ -25,22 +42,6 @@
 // storage/checkpoint.h, while raw streams are deliberately not
 // serialized (they are O(users * slots) and the durable tier exists for
 // the aggregate-only production shape).
-//
-// Single-writer mode (single_writer = true) goes one step further for
-// the shard-affinity transport shape: when the transport routes every
-// shard group to exactly one consumer thread, each shard has exactly
-// one writer, so the per-shard mutex buys nothing on the ingest path.
-// Ingest then skips the mutex entirely and publishes the per-slot
-// aggregates (and histogram bins) through a per-shard seqlock: each
-// aggregate lives as its five Packed words in a flat atomic array, the
-// owner brackets every run with an odd/even sequence counter, and
-// concurrent aggregate readers copy the words and retry if the
-// sequence was odd or moved (a torn snapshot) instead of ever blocking
-// the writer. The shard mutex survives only for storage growth: a
-// reader holds it across its snapshot, so the owner's rare capacity
-// doubling (also under the mutex) can never reallocate the arrays out
-// from under a racing copy. Aggregates are exact integer sums, so the
-// two locking modes are bit-identical for the same ingested multiset.
 //
 // SlotAggregate and SlotHistogramOptions -- the exact-accumulation
 // building blocks -- live in storage/collector_backend.h so every
@@ -59,17 +60,16 @@
 
 #include "core/status.h"
 #include "storage/collector_backend.h"
-#include "stream/report.h"
 #include "telemetry/metrics.h"
 
 namespace capp {
 
 /// Deleter for cache-line-aligned arrays of trivially-destructible
-/// payloads (the owned-shard seqlock storage): frees the 64-byte-aligned
-/// allocation without running destructors. make_unique only guarantees
-/// alignof(std::max_align_t) (16 bytes), which left the packed 5-word
-/// aggregate slots starting mid-line -- see sharded_collector.cc's
-/// MakeAlignedZeroed for the layout story.
+/// payloads (the seqlock-published aggregate store): frees the
+/// 64-byte-aligned allocation without running destructors. make_unique
+/// only guarantees alignof(std::max_align_t) (16 bytes), which left the
+/// packed 5-word aggregate slots starting mid-line -- see
+/// sharded_collector.cc's MakeAlignedZeroed for the layout story.
 struct AlignedFree {
   void operator()(void* p) const noexcept {
     ::operator delete(p, std::align_val_t{64});
@@ -102,9 +102,9 @@ struct ShardedCollectorOptions {
   /// Single-writer (shard-owned) ingest: the caller guarantees that at
   /// most one thread ever ingests into any given shard (the transport's
   /// shard_affinity routing provides exactly this), and in exchange the
-  /// ingest path skips the per-shard mutex entirely, publishing the
-  /// per-slot aggregates and histogram bins through a per-shard seqlock
-  /// for concurrent aggregate readers (see the class comment). Requires
+  /// ingest path takes the per-shard mutex only to grow the aggregate
+  /// arrays (see the class comment). Storage and results are identical
+  /// to mutex mode; only the locking discipline differs. Requires
   /// keep_streams = false. Per-user queries (Contains / SlotCount) are
   /// then safe only from the shard's owning thread or after ingest has
   /// quiesced -- which covers every existing caller: the durable tier's
@@ -124,31 +124,24 @@ class ShardedCollector : public CollectorBackend {
   ShardedCollector(ShardedCollector&&) = default;
   ShardedCollector& operator=(ShardedCollector&&) = default;
 
-  /// Ingests one report. Slots may arrive in any order per user; a repeated
-  /// (user, slot) pair overwrites (last write wins), matching the legacy
-  /// collector (overwrites require keep_streams). Reports with non-finite
-  /// values are discarded: they cannot be represented next to the NaN
-  /// missing-slot sentinel, and no library path emits them. Raw streams
-  /// store any finite value, but the per-slot aggregates saturate report
-  /// magnitudes at 2^16 (see SlotAggregate) -- far beyond any sanitized
-  /// mechanism output.
-  void Ingest(const SlotReport& report);
-
-  /// Ingests a batch, grouping reports by shard so each shard's lock is
-  /// taken once per call instead of once per report.
-  void IngestBatch(std::span<const SlotReport> reports);
-
   /// Pre-sizes every shard's user index and per-user bookkeeping for an
   /// expected population (a hint; populations may exceed it). Eliminates
   /// rehash stalls while a large fleet registers its users.
   void ReserveUsers(size_t expected_users) override;
 
   /// Ingests one user's run of consecutive slots: values[i] is the report
-  /// for slot base_slot + i. Equivalent to Ingest({user_id, base_slot+i,
-  /// values[i]}) per element in order, but the shard hash, lock
-  /// acquisition, and user-index resolution happen once for the whole run
-  /// -- the fleet's per-user fast path (a simulated device uploads its
-  /// stream in one piece).
+  /// for slot base_slot + i; a single report is a run of length 1. The
+  /// shard hash, lock acquisition, and user-index resolution happen once
+  /// for the whole run, which is published to readers atomically. Slots
+  /// may arrive in any order per user; with keep_streams a repeated
+  /// (user, slot) pair overwrites (last write wins), matching the legacy
+  /// collector. Non-finite values are discarded: they cannot be
+  /// represented next to the NaN missing-slot sentinel, and no library
+  /// path emits them. Raw streams store any finite value, but the
+  /// per-slot aggregates saturate report magnitudes at 2^16 (see
+  /// SlotAggregate) -- far beyond any sanitized mechanism output. The
+  /// run must end at or below cell kWireMaxRunLength (the bound every
+  /// wire frame and EngineConfig obeys); CAPP_CHECKed.
   void IngestUserRun(uint64_t user_id, size_t base_slot,
                      std::span<const double> values) override;
 
@@ -244,14 +237,20 @@ class ShardedCollector : public CollectorBackend {
 
   /// Total seqlock snapshot retries across shards: how often an
   /// aggregate reader observed a write in progress (odd sequence) or a
-  /// torn copy (sequence moved) and re-read. Always 0 in mutex mode,
-  /// and 0 in single-writer mode when nobody read during ingest.
+  /// torn copy (sequence moved) and re-read. Always 0 in mutex mode
+  /// (writers hold the mutex a reader copies under), and 0 in
+  /// single-writer mode when nobody read during ingest.
   uint64_t seqlock_read_retries() const;
 
   const ShardedCollectorOptions& options() const { return options_; }
 
  private:
-  struct Shard {
+  // Cache-line aligned: each shard's writer-hot tail (seq and the
+  // counters) must not share a line with the next shard's mutex and
+  // index, which another consumer writes under shard affinity.
+  struct alignas(64) Shard {
+    // Held by every aggregate reader across its snapshot and by every
+    // grow; in mutex mode also by every writer across its whole run.
     mutable std::mutex mu;
     std::unordered_map<uint64_t, uint32_t> index;  // user id -> dense index
     std::vector<uint32_t> last_slot;               // per dense index
@@ -260,63 +259,64 @@ class ShardedCollector : public CollectorBackend {
     // Inner rows grow lazily, so reads must treat short rows as missing.
     // Unused in aggregate-only mode.
     std::vector<std::vector<double>> values;
-    std::vector<SlotAggregate> slots;  // per-slot streaming aggregates
-    // Flat per-slot value histograms, histogram[slot * row_size + bin];
-    // grown in lockstep with `slots`. Empty when the tier is disabled.
-    // 32-bit counters keep the tier's working set (shards x slots x
-    // bins) half the size of uint64 rows, which is most of its ingest
-    // cost at 1M users. A bin pinned at 2^32 - 1 (>4e9 reports in one
-    // (shard, slot, bin) -- beyond the aggregates' own documented
-    // headroom) stops counting and reports through saturated_reports,
-    // the existing "collector state no longer describes the reports"
-    // channel, so even that absurd scale fails loudly, never silently.
-    std::vector<uint32_t> histogram;
-    size_t report_count = 0;
-    uint64_t saturated_reports = 0;  // reports clamped by SlotAggregate
 
-    // --- Single-writer mode state (unused in mutex mode). ---
-    // Seqlock sequence: odd exactly while the owning thread is inside a
-    // write section mutating the atomic words below.
+    // Seqlock sequence: odd exactly while a writer is inside a write
+    // section mutating the atomic words below.
     std::atomic<uint64_t> seq{0};
     // Per-slot aggregates as their SlotAggregate::Packed words (5 per
-    // slot) and flat histogram bins, in atomics so seqlock readers may
-    // race with the owner without UB. The first owned_slots entries are
-    // valid; capacity doubles under `mu` (see GrowOwnedSlots), which a
-    // reader holds across its whole snapshot, so growth can never
-    // reallocate the arrays out from under a racing copy.
+    // slot) and flat histogram bins, owned_histogram[slot * row_size +
+    // bin] (null when the tier is disabled), in atomics so seqlock
+    // readers may race with a single writer without UB. The first
+    // owned_slots entries are valid; capacity doubles under `mu` (see
+    // GrowOwnedSlots), which a reader holds across its whole snapshot,
+    // so growth can never reallocate the arrays out from under a racing
+    // copy. 32-bit bins keep the tier's working set (shards x slots x
+    // bins) half the size of uint64 rows; a bin pinned at 2^32 - 1 stops
+    // counting and reports through owned_saturated, the "collector state
+    // no longer describes the reports" channel, so even that absurd
+    // scale fails loudly, never silently.
     AlignedAtomicArray<std::atomic<uint64_t>> owned_packed;
     AlignedAtomicArray<std::atomic<uint32_t>> owned_histogram;
     size_t owned_slots = 0;     // valid slot prefix; readers see it via mu
     size_t owned_capacity = 0;  // allocated slots
-    // Monotonic counters, updated by the owner outside the seqlock and
+    // Monotonic counters, updated by the writer outside the seqlock and
     // read relaxed: totals, not part of the consistent-snapshot story.
     std::atomic<uint64_t> owned_users{0};
     std::atomic<uint64_t> owned_reports{0};
-    std::atomic<uint64_t> owned_saturated{0};
+    std::atomic<uint64_t> owned_saturated{0};  // clamped reports + bins
   };
 
   explicit ShardedCollector(ShardedCollectorOptions options);
 
   size_t ShardIndex(uint64_t user_id) const;
-  // Applies one report to a shard. Caller holds the shard's lock.
-  void IngestLocked(Shard& shard, const SlotReport& report);
-  // Grows shard.slots (and the histogram rows, when enabled) to cover
-  // `end_slot` slots. Caller holds the shard's lock.
-  void GrowSlots(Shard& shard, size_t end_slot);
-  // Single-writer ingest of one run (values[first..last] are the
-  // trimmed finite span). Called by the owning thread only; takes the
-  // shard mutex solely inside GrowOwnedSlots.
-  void IngestOwnedRun(Shard& shard, uint64_t user_id, size_t base_slot,
+  // Resolves (registering on first sight) the run's user and extends its
+  // last slot; returns the dense index. Caller is the shard's writer.
+  uint32_t RegisterRunUser(Shard& shard, uint64_t user_id, size_t base_slot,
+                           size_t first, size_t last);
+  // Aggregate-only ingest of one run (values[first..last] are the
+  // trimmed finite span) inside one seqlock write section. `lock` is the
+  // shard mutex: held by a mutex-mode writer, unheld by a single writer,
+  // which then takes it only around GrowOwnedSlots.
+  void IngestOwnedRun(Shard& shard, std::unique_lock<std::mutex>& lock,
+                      uint64_t user_id, size_t base_slot,
                       std::span<const double> values, size_t first,
                       size_t last);
-  // Grows the owned atomic arrays to cover end_slot slots. Owner only;
-  // locks the shard mutex to exclude in-flight seqlock readers.
+  // keep_streams ingest of one run: raw values plus last-write-wins
+  // overwrites (SlotAggregate::Replace and a bin decrement) inside one
+  // seqlock write section. Caller holds the shard mutex.
+  void IngestStreamRun(Shard& shard, uint64_t user_id, size_t base_slot,
+                       std::span<const double> values, size_t first,
+                       size_t last);
+  // Grows the atomic arrays to cover end_slot slots. Caller holds the
+  // shard mutex, which excludes in-flight seqlock readers.
   void GrowOwnedSlots(Shard& shard, size_t end_slot);
-  // Seqlock read: one consistent snapshot of an owned shard's packed
+  // Seqlock read: one consistent snapshot of a shard's packed
   // aggregate words (and histogram bins when hist != nullptr and the
   // tier is enabled). Returns the number of valid slots.
   size_t SnapshotOwned(const Shard& shard, std::vector<uint64_t>& packed,
                        std::vector<uint32_t>* hist) const;
+  // Sums one of the shards' relaxed monotonic counters.
+  uint64_t SumCounter(std::atomic<uint64_t> Shard::*counter) const;
   // Bumps the local retry counter and its registry mirror.
   void CountSeqlockRetry() const;
 

@@ -2,6 +2,7 @@
 
 #include "telemetry/instruments.h"
 #include "telemetry/metrics.h"
+#include "transport/wire_format.h"
 
 namespace capp {
 namespace {
@@ -55,6 +56,9 @@ void CollectorBackend::IngestUserRun(uint64_t user_id, size_t base_slot,
     IngestUserRun(user_id, base_slot, values);
     return;
   }
+  // base_slot * dims below must not wrap (dims == 1 is checked by the
+  // cell-level overload itself).
+  CAPP_CHECK(RunFitsCellBound(base_slot, dims, values.size()));
   // Transpose the wire's dim-major payload into the interleaved cell
   // order (cell = slot * dims + dim) and hand the flat cell run to the
   // scalar path: one bookkeeping pass, one contiguous aggregate walk,

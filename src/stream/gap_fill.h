@@ -4,9 +4,9 @@
 // algorithms that skip uploads). The library-wide publication policy is
 // last-observation-carried-forward: a missing slot repeats the user's last
 // preceding report, and slots before the first report publish the domain
-// midpoint 0.5 (the no-information prior of the [0,1] data domain). Both
-// CollectorSession and the engine's ShardedCollector share this helper so
-// the policy cannot drift between the serial and sharded paths.
+// midpoint 0.5 (the no-information prior of the [0,1] data domain).
+// ShardedCollector::GapFilledStream applies it, and tests hold it
+// against a map-based reference collector.
 #ifndef CAPP_STREAM_GAP_FILL_H_
 #define CAPP_STREAM_GAP_FILL_H_
 

@@ -43,23 +43,4 @@ void UserSession::ReportChunk(std::span<const double> values,
   perturber_->ProcessChunk(clamp_scratch_, out, rng_);
 }
 
-Result<CollectorSession> CollectorSession::Create(int smoothing_window) {
-  if (smoothing_window < 1 || smoothing_window % 2 == 0) {
-    return Status::InvalidArgument("smoothing_window must be odd and >= 1");
-  }
-  CAPP_ASSIGN_OR_RETURN(ShardedCollector backend, ShardedCollector::Create());
-  return CollectorSession(smoothing_window, std::move(backend));
-}
-
-void CollectorSession::Ingest(const SlotReport& report) {
-  backend_.Ingest(report);
-}
-
-Result<std::vector<double>> CollectorSession::PublishedStream(
-    uint64_t user_id) const {
-  CAPP_ASSIGN_OR_RETURN(std::vector<double> filled,
-                        backend_.GapFilledStream(user_id));
-  return SimpleMovingAverage(filled, smoothing_window_);
-}
-
 }  // namespace capp

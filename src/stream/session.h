@@ -1,17 +1,12 @@
-// High-level deployment API pairing the two sides of the paper's Fig. 1:
+// Device-side deployment API for the paper's Fig. 1: a UserSession runs
+// on each user's device. It wraps a stream perturbation algorithm, the
+// w-event budget ledger, and an auditable per-slot report record; one
+// call per time slot.
 //
-//   * UserSession -- runs on each user's device. Wraps a stream
-//     perturbation algorithm, the w-event budget ledger, and an auditable
-//     per-slot report record. One call per time slot.
-//   * CollectorSession -- runs at the untrusted collector. Ingests the
-//     per-slot reports of many users, maintains per-user published streams
-//     (with each algorithm's smoothing), per-slot population means, and
-//     subsequence statistics. Storage is delegated to the engine's
-//     ShardedCollector, so the same session scales from unit tests to
-//     concurrent million-user fleets.
-//
-// The sessions are deliberately transport-agnostic: a report is just
-// (user_id, slot, value); any RPC/MQTT/file transport can carry it.
+// The session is deliberately transport-agnostic: a report is just
+// (user_id, slot, value); any RPC/MQTT/file transport can carry it. At
+// the collector, ShardedCollector (engine/sharded_collector.h) ingests
+// the reports and serves per-user streams and population statistics.
 #ifndef CAPP_STREAM_SESSION_H_
 #define CAPP_STREAM_SESSION_H_
 
@@ -23,10 +18,8 @@
 #include "algorithms/perturber.h"
 #include "core/rng.h"
 #include "core/status.h"
-#include "engine/sharded_collector.h"
 #include "stream/accountant.h"
 #include "stream/report.h"
-#include "stream/smoothing.h"
 
 namespace capp {
 
@@ -106,49 +99,6 @@ class UserSession {
   WEventAccountant ledger_;
   Rng rng_;
   std::vector<double> clamp_scratch_;  // ReportChunk's clamped inputs
-};
-
-/// Collector-side session: ingest reports, publish streams and statistics.
-class CollectorSession {
- public:
-  /// `smoothing_window` is the SMA applied to published per-user streams
-  /// (odd; use the algorithm's recommendation, e.g. 3 for PP algorithms).
-  static Result<CollectorSession> Create(int smoothing_window = 3);
-
-  /// Ingests one report. Slots may arrive in any order per user; the
-  /// stream is indexed by the report's slot.
-  void Ingest(const SlotReport& report);
-
-  /// Number of users seen so far.
-  size_t user_count() const { return backend_.user_count(); }
-
-  /// Number of slots seen for a user (0 if unknown).
-  size_t SlotCount(uint64_t user_id) const {
-    return backend_.SlotCount(user_id);
-  }
-
-  /// The user's published (smoothed) stream. Missing slots are filled with
-  /// the user's last preceding report (0.5 if none; see stream/gap_fill.h).
-  Result<std::vector<double>> PublishedStream(uint64_t user_id) const;
-
-  /// Mean of the user's reports over slots [begin, begin+len).
-  Result<double> SubsequenceMean(uint64_t user_id, size_t begin,
-                                 size_t len) const {
-    return backend_.SubsequenceMean(user_id, begin, len);
-  }
-
-  /// Per-slot population mean over all users that reported that slot, for
-  /// slots [0, max_slot]. Slots nobody reported yield NaN.
-  std::vector<double> PopulationSlotMeans() const {
-    return backend_.PopulationSlotMeans();
-  }
-
- private:
-  CollectorSession(int smoothing_window, ShardedCollector backend)
-      : backend_(std::move(backend)), smoothing_window_(smoothing_window) {}
-
-  ShardedCollector backend_;
-  int smoothing_window_;
 };
 
 }  // namespace capp

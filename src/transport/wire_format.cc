@@ -244,6 +244,7 @@ void AppendMultiDimRunFrame(uint64_t user_id, uint64_t base_slot,
   CAPP_CHECK(dims >= 1 && dims <= kWireMaxDims);
   CAPP_CHECK(values.size() <= kWireMaxRunLength);
   CAPP_CHECK(values.size() % dims == 0);
+  CAPP_CHECK(RunFitsCellBound(base_slot, dims, values.size()));
   // The one frame writer. d=1 is always the 0xC5 frame with no dims
   // varint -- the bytes every d=1 WAL segment, checkpoint and digest was
   // written with -- so a 0xC6 frame claiming dims=1 cannot be produced.
@@ -313,6 +314,9 @@ Status ParseFrameHeader(std::span<const uint8_t> bytes, uint64_t* user_id,
   if (*count > kWireMaxRunLength) return FrameError("absurd run length");
   if (multi && *count % *dims != 0) {
     return FrameError("count not divisible by dims");
+  }
+  if (!RunFitsCellBound(*base_slot, *dims, *count)) {
+    return FrameError("run ends past the cell bound");
   }
   return Status::OK();
 }

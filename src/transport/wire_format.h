@@ -1,6 +1,5 @@
-// Binary wire framing for sanitized user-run report batches: the compact,
-// fast sibling of stream/report_io.h's CSV format. One frame carries one
-// device's run of consecutive slot reports:
+// Binary wire framing for sanitized user-run report batches. One frame
+// carries one device's run of consecutive slot reports:
 //
 //   [0xC5 magic] [varint user_id] [varint base_slot] [varint count]
 //   [count x 8-byte little-endian IEEE-754 doubles] [4-byte LE CRC32]
@@ -52,6 +51,19 @@ inline constexpr uint64_t kWireMaxRunLength = 1u << 24;
 /// Upper bound on a 0xC6 frame's dimension count; decode rejects anything
 /// larger before trusting the per-dimension arithmetic.
 inline constexpr uint64_t kWireMaxDims = 1u << 12;
+
+/// True when a run of `count` values, `dims` per slot, starting at slot
+/// `base_slot` ends at or below cell kWireMaxRunLength: (base_slot +
+/// count / dims) * dims <= kWireMaxRunLength, evaluated without
+/// overflow. The same bound EngineConfig puts on num_slots * dims; every
+/// frame decode accepts and every run a collector ingests satisfies it,
+/// so a hostile base_slot cannot wrap a collector's slot arithmetic.
+/// Requires dims >= 1.
+constexpr bool RunFitsCellBound(uint64_t base_slot, uint64_t dims,
+                                uint64_t count) {
+  return count <= kWireMaxRunLength &&
+         base_slot <= kWireMaxRunLength / dims - count / dims;
+}
 
 /// Appends `value` as a LEB128 varint (7 bits per byte, high bit = more).
 void AppendVarint(uint64_t value, std::vector<uint8_t>& out);

@@ -367,7 +367,7 @@ TEST(IngestUserRunTest, MatchesPerReportIngest) {
     ASSERT_TRUE(per_report.ok() && run.ok());
     for (uint64_t user : {uint64_t{1}, uint64_t{99}, uint64_t{1} << 50}) {
       for (size_t i = 0; i < values.size(); ++i) {
-        per_report->Ingest({user, 3 + i, values[i]});
+        per_report->IngestUserRun(user, 3 + i, {&values[i], 1});
       }
       run->IngestUserRun(user, /*base_slot=*/3, values);
     }
@@ -395,11 +395,11 @@ TEST(IngestUserRunTest, MatchesPerReportIngest) {
   }
 }
 
-TEST(IngestUserRunTest, NonFiniteValuesAreDiscardedLikeIngest) {
+TEST(IngestUserRunTest, NonFiniteValuesAreDiscarded) {
   const double kNaN = std::numeric_limits<double>::quiet_NaN();
   auto collector = ShardedCollector::Create();
   ASSERT_TRUE(collector.ok());
-  // All-garbage run: must not register the user (Ingest drops pre-insert).
+  // All-garbage run: must not register the user (dropped pre-insert).
   const double garbage[] = {kNaN, kNaN};
   collector->IngestUserRun(7, 0, garbage);
   EXPECT_FALSE(collector->Contains(7));

@@ -16,17 +16,23 @@
 #include "core/rng.h"
 #include "engine/engine_config.h"
 #include "engine/fleet.h"
-#include "engine/report_batch.h"
 #include "engine/sharded_collector.h"
 #include "engine/thread_pool.h"
 #include "storage/collector_backend.h"
 #include "stream/gap_fill.h"
+#include "stream/report.h"
 #include "stream/session.h"
+#include "transport/wire_format.h"
 
 namespace capp {
 namespace {
 
 constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+
+// A single report is a run of length 1.
+void IngestReport(ShardedCollector& collector, const SlotReport& report) {
+  collector.IngestUserRun(report.user_id, report.slot, {&report.value, 1});
+}
 
 // ------------------------------------------------------------- gap fill ----
 
@@ -138,7 +144,7 @@ TEST(ShardedCollectorTest, CountsSaturatedReports) {
   // A raw (unnormalized) telemetry run: two values beyond the bound.
   collector->IngestUserRun(9, 0,
                            std::vector<double>{120000.0, 0.5, -3.0e8});
-  collector->Ingest({10, 0, 2.0e5});
+  IngestReport(*collector, {10, 0, 2.0e5});
   EXPECT_EQ(collector->saturated_report_count(), 3u);
   EXPECT_EQ(collector->report_count(), 4u);
   // In-range ingest never counts.
@@ -165,8 +171,8 @@ TEST(ShardedCollectorTest, RejectsZeroShards) {
 TEST(ShardedCollectorTest, OverwriteIsLastWriteWins) {
   auto collector = ShardedCollector::Create();
   ASSERT_TRUE(collector.ok());
-  collector->Ingest({7, 2, 0.1});
-  collector->Ingest({7, 2, 0.9});
+  IngestReport(*collector, {7, 2, 0.1});
+  IngestReport(*collector, {7, 2, 0.9});
   EXPECT_EQ(collector->user_count(), 1u);
   EXPECT_EQ(collector->SlotCount(7), 1u);
   EXPECT_EQ(collector->report_count(), 1u);
@@ -178,14 +184,14 @@ TEST(ShardedCollectorTest, OverwriteIsLastWriteWins) {
 TEST(ShardedCollectorTest, NonFiniteReportsAreDiscarded) {
   auto collector = ShardedCollector::Create();
   ASSERT_TRUE(collector.ok());
-  collector->Ingest({1, 0, kNaN});
-  collector->Ingest({1, 0, std::numeric_limits<double>::infinity()});
+  IngestReport(*collector, {1, 0, kNaN});
+  IngestReport(*collector, {1, 0, std::numeric_limits<double>::infinity()});
   // A garbage report must not register the user or touch aggregates...
   EXPECT_FALSE(collector->Contains(1));
   EXPECT_EQ(collector->report_count(), 0u);
   EXPECT_TRUE(collector->PopulationSlotMeans().empty());
   // ...and must not shadow a later valid report for the same (user, slot).
-  collector->Ingest({1, 0, 0.3});
+  IngestReport(*collector, {1, 0, 0.3});
   EXPECT_EQ(collector->SlotCount(1), 1u);
   const auto means = collector->PopulationSlotMeans();
   ASSERT_EQ(means.size(), 1u);
@@ -195,7 +201,7 @@ TEST(ShardedCollectorTest, NonFiniteReportsAreDiscarded) {
 TEST(ShardedCollectorTest, AggregateOnlyModeRefusesStreamQueries) {
   auto collector = ShardedCollector::Create({.keep_streams = false});
   ASSERT_TRUE(collector.ok());
-  collector->Ingest({1, 0, 0.4});
+  IngestReport(*collector, {1, 0, 0.4});
   EXPECT_TRUE(collector->Contains(1));
   EXPECT_FALSE(collector->GapFilledStream(1).ok());
   EXPECT_FALSE(collector->SubsequenceMean(1, 0, 1).ok());
@@ -355,10 +361,7 @@ TEST(ShardedCollectorTest, MatchesLegacyOnRandomReportOrders) {
     SCOPED_TRACE(shards);
     auto sharded = ShardedCollector::Create({.num_shards = shards});
     ASSERT_TRUE(sharded.ok());
-    // Mix the two ingest paths: half one-by-one, half batched.
-    const size_t half = reports.size() / 2;
-    for (size_t i = 0; i < half; ++i) sharded->Ingest(reports[i]);
-    sharded->IngestBatch(std::span(reports).subspan(half));
+    for (const SlotReport& r : reports) IngestReport(*sharded, r);
 
     EXPECT_EQ(sharded->user_count(), reference.raw().size());
     for (uint64_t user : users) {
@@ -401,7 +404,7 @@ TEST(ShardedCollectorTest, ConcurrentIngestMatchesSerial) {
   }
   auto serial = ShardedCollector::Create();
   ASSERT_TRUE(serial.ok());
-  serial->IngestBatch(reports);
+  for (const SlotReport& r : reports) IngestReport(*serial, r);
 
   auto concurrent = ShardedCollector::Create();
   ASSERT_TRUE(concurrent.ok());
@@ -410,8 +413,9 @@ TEST(ShardedCollectorTest, ConcurrentIngestMatchesSerial) {
   ParallelFor(n_chunks, 8, [&](size_t c) {
     const size_t begin = c * kChunk;
     const size_t end = std::min(reports.size(), begin + kChunk);
-    concurrent->IngestBatch(
-        std::span(reports).subspan(begin, end - begin));
+    for (size_t i = begin; i < end; ++i) {
+      IngestReport(*concurrent, reports[i]);
+    }
   });
 
   EXPECT_EQ(concurrent->user_count(), serial->user_count());
@@ -615,19 +619,143 @@ TEST(ShardedCollectorTest, SingleWriterSnapshotsAreRunAtomic) {
   EXPECT_GE(collector->seqlock_read_retries(), retries);
 }
 
-// --------------------------------------------------------- report batch ----
-
-TEST(ReportBatchTest, FlushesWhenFullAndOnDestruction) {
-  auto collector = ShardedCollector::Create();
-  ASSERT_TRUE(collector.ok());
-  {
-    ReportBatch batch(&*collector, /*capacity=*/4);
-    for (uint64_t u = 0; u < 5; ++u) batch.Add({u, 0, 0.5});
-    // Capacity 4: the first four flushed, the fifth is still staged.
-    EXPECT_EQ(batch.pending(), 1u);
-    EXPECT_EQ(collector->report_count(), 4u);
+TEST(ShardedCollectorTest, MutexModeOverwritesRacingReadersMatchSerial) {
+  // Mutex mode publishes through the same seqlock store as single-writer
+  // mode. Several writers overwrite their own users' slots (keep_streams
+  // and the histogram tier on) while a reader snapshots aggregates and
+  // histograms. The final state must equal a serial oracle's word for
+  // word, and since every mutex-mode writer holds the shard mutex the
+  // reader copies under, the reader never retries. Under TSan this is
+  // the race check for the mutex-mode write path.
+  constexpr size_t kWriters = 4;
+  constexpr uint64_t kUsers = 256;
+  constexpr size_t kSlots = 16;
+  constexpr size_t kRounds = 4;
+  // values[round][user]: every round rewrites each user's whole stream,
+  // so each round after the first is all overwrites and the last round
+  // decides the final state. Some values fall outside [lo, hi] so the
+  // edge bins move too.
+  Rng rng(97);
+  std::vector<std::vector<std::vector<double>>> values(kRounds);
+  for (auto& round : values) {
+    round.resize(kUsers);
+    for (auto& stream : round) {
+      for (size_t t = 0; t < kSlots; ++t) {
+        stream.push_back(rng.Uniform(-0.2, 1.2));
+      }
+    }
   }
-  EXPECT_EQ(collector->report_count(), 5u);
+  // Writer w owns users u with u % kWriters == w and replays the rounds
+  // in order: length-1 runs on even rounds, one whole-stream run on odd.
+  const auto write_script = [&](ShardedCollector& collector, size_t w) {
+    for (size_t round = 0; round < kRounds; ++round) {
+      for (uint64_t u = w; u < kUsers; u += kWriters) {
+        const std::vector<double>& stream = values[round][u];
+        if (round % 2 == 0) {
+          for (size_t t = 0; t < kSlots; ++t) {
+            collector.IngestUserRun(u, t, {&stream[t], 1});
+          }
+        } else {
+          collector.IngestUserRun(u, 0, stream);
+        }
+      }
+    }
+  };
+  ShardedCollectorOptions options;
+  options.num_shards = 4;
+  options.keep_streams = true;
+  options.histogram = {.enabled = true, .num_bins = 8};
+  auto serial = ShardedCollector::Create(options);
+  auto concurrent = ShardedCollector::Create(options);
+  ASSERT_TRUE(serial.ok() && concurrent.ok());
+  for (size_t w = 0; w < kWriters; ++w) write_script(*serial, w);
+
+  std::atomic<size_t> writers_done{0};
+  std::vector<std::thread> writers;
+  for (size_t w = 0; w < kWriters; ++w) {
+    writers.emplace_back([&, w] {
+      write_script(*concurrent, w);
+      writers_done.fetch_add(1, std::memory_order_release);
+    });
+  }
+  do {
+    // No count can exceed the population, whatever the interleaving.
+    for (const SlotAggregate& agg : concurrent->PopulationSlotAggregates()) {
+      EXPECT_LE(agg.Count(), kUsers);
+    }
+    const auto rows = concurrent->PopulationSlotHistograms();
+    EXPECT_TRUE(rows.ok());
+    if (rows.ok()) {
+      for (const auto& row : *rows) {
+        uint64_t total = 0;
+        for (uint64_t c : row) total += c;
+        EXPECT_LE(total, kUsers);
+      }
+    }
+  } while (writers_done.load(std::memory_order_acquire) < kWriters);
+  for (std::thread& writer : writers) writer.join();
+
+  EXPECT_EQ(concurrent->seqlock_read_retries(), 0u);
+  EXPECT_EQ(concurrent->user_count(), kUsers);
+  EXPECT_EQ(concurrent->report_count(), kUsers * kSlots);
+  EXPECT_EQ(concurrent->report_count(), serial->report_count());
+  EXPECT_EQ(concurrent->saturated_report_count(), 0u);
+  EXPECT_EQ(concurrent->histogram_outlier_count(),
+            serial->histogram_outlier_count());
+  const auto want = serial->PopulationSlotAggregates();
+  const auto got = concurrent->PopulationSlotAggregates();
+  ASSERT_EQ(got.size(), kSlots);
+  ASSERT_EQ(want.size(), kSlots);
+  for (size_t t = 0; t < kSlots; ++t) {
+    const auto a = want[t].ToPacked();
+    const auto b = got[t].ToPacked();
+    EXPECT_EQ(b.count, kUsers) << t;
+    EXPECT_EQ(b.count, a.count) << t;
+    EXPECT_EQ(b.sum_hi, a.sum_hi) << t;
+    EXPECT_EQ(b.sum_lo, a.sum_lo) << t;
+    EXPECT_EQ(b.sum_sq_hi, a.sum_sq_hi) << t;
+    EXPECT_EQ(b.sum_sq_lo, a.sum_sq_lo) << t;
+  }
+  const auto want_rows = serial->PopulationSlotHistograms();
+  const auto got_rows = concurrent->PopulationSlotHistograms();
+  ASSERT_TRUE(want_rows.ok() && got_rows.ok());
+  EXPECT_EQ(*got_rows, *want_rows);
+  EXPECT_EQ(CollectorStateDigest(*concurrent), CollectorStateDigest(*serial));
+  // Last write wins per user: the final round's stream, bit for bit.
+  for (uint64_t u = 0; u < kUsers; ++u) {
+    const auto stream = concurrent->GapFilledStream(u);
+    ASSERT_TRUE(stream.ok());
+    EXPECT_EQ(*stream, values[kRounds - 1][u]) << "user " << u;
+  }
+}
+
+TEST(ShardedCollectorDeathTest, RunPastCellBoundAborts) {
+  // The wire decoder's cell bound, enforced for in-process callers: a
+  // base_slot that would wrap base_slot + i must abort, not scribble
+  // outside the aggregate arrays.
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  const double three[] = {0.25, 0.5, 0.75};
+  for (bool owned : {false, true}) {
+    SCOPED_TRACE(owned);
+    auto collector = ShardedCollector::Create(
+        {.keep_streams = false, .single_writer = owned});
+    ASSERT_TRUE(collector.ok());
+    EXPECT_DEATH(collector->IngestUserRun(
+                     1, std::numeric_limits<size_t>::max() - 1, three),
+                 "RunFitsCellBound");
+    EXPECT_DEATH(
+        collector->IngestUserRun(1, kWireMaxRunLength - 2, three),
+        "RunFitsCellBound");
+    collector->IngestUserRun(1, kWireMaxRunLength - 3, three);
+    EXPECT_EQ(collector->report_count(), 3u);
+  }
+  // The dims-aware overload scales base_slot by dims before delegating;
+  // a product that would wrap 64 bits is refused too.
+  auto multidim = ShardedCollector::Create({.dims = 4, .keep_streams = false});
+  ASSERT_TRUE(multidim.ok());
+  const double four[] = {0.1, 0.2, 0.3, 0.4};
+  EXPECT_DEATH(multidim->IngestUserRun(1, (size_t{1} << 62) + 1, 4, four),
+               "RunFitsCellBound");
 }
 
 // ------------------------------------------------------- engine config ----

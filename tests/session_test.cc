@@ -1,19 +1,23 @@
-// Tests for the high-level UserSession / CollectorSession deployment API.
+// Tests for the device-side UserSession API, and for the collector side
+// of the same deployment: user sessions feeding a ShardedCollector that
+// keeps per-user streams.
 #include <cmath>
-#include <cstdio>
-#include <filesystem>
-#include <fstream>
-#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/math_utils.h"
-#include "stream/report_io.h"
+#include "engine/sharded_collector.h"
+#include "stream/report.h"
 #include "stream/session.h"
 
 namespace capp {
 namespace {
+
+// A single report is a run of length 1.
+void IngestReport(ShardedCollector& collector, const SlotReport& report) {
+  collector.IngestUserRun(report.user_id, report.slot, {&report.value, 1});
+}
 
 TEST(UserSessionTest, RejectsSamplingAlgorithms) {
   EXPECT_FALSE(
@@ -58,30 +62,26 @@ TEST(UserSessionTest, DeterministicForSameSeed) {
   }
 }
 
-TEST(CollectorSessionTest, RejectsEvenSmoothing) {
-  EXPECT_FALSE(CollectorSession::Create(2).ok());
-  EXPECT_FALSE(CollectorSession::Create(0).ok());
-  EXPECT_TRUE(CollectorSession::Create(1).ok());
-}
+// ------------------------------------------- collector with user streams --
 
-TEST(CollectorSessionTest, IngestAndCount) {
-  auto collector = CollectorSession::Create();
+TEST(KeepStreamsCollectorTest, IngestAndCount) {
+  auto collector = ShardedCollector::Create();
   ASSERT_TRUE(collector.ok());
-  collector->Ingest({1, 0, 0.5});
-  collector->Ingest({1, 1, 0.6});
-  collector->Ingest({2, 0, 0.4});
+  IngestReport(*collector, {1, 0, 0.5});
+  IngestReport(*collector, {1, 1, 0.6});
+  IngestReport(*collector, {2, 0, 0.4});
   EXPECT_EQ(collector->user_count(), 2u);
   EXPECT_EQ(collector->SlotCount(1), 2u);
   EXPECT_EQ(collector->SlotCount(2), 1u);
   EXPECT_EQ(collector->SlotCount(3), 0u);
 }
 
-TEST(CollectorSessionTest, PublishedStreamFillsGaps) {
-  auto collector = CollectorSession::Create(1);  // no smoothing
+TEST(KeepStreamsCollectorTest, GapFilledStreamCarriesForward) {
+  auto collector = ShardedCollector::Create();
   ASSERT_TRUE(collector.ok());
-  collector->Ingest({1, 0, 0.2});
-  collector->Ingest({1, 3, 0.8});  // slots 1, 2 missing
-  auto stream = collector->PublishedStream(1);
+  IngestReport(*collector, {1, 0, 0.2});
+  IngestReport(*collector, {1, 3, 0.8});  // slots 1, 2 missing
+  auto stream = collector->GapFilledStream(1);
   ASSERT_TRUE(stream.ok());
   ASSERT_EQ(stream->size(), 4u);
   EXPECT_DOUBLE_EQ((*stream)[0], 0.2);
@@ -90,19 +90,19 @@ TEST(CollectorSessionTest, PublishedStreamFillsGaps) {
   EXPECT_DOUBLE_EQ((*stream)[3], 0.8);
 }
 
-TEST(CollectorSessionTest, UnknownUserIsNotFound) {
-  auto collector = CollectorSession::Create();
+TEST(KeepStreamsCollectorTest, UnknownUserIsNotFound) {
+  auto collector = ShardedCollector::Create();
   ASSERT_TRUE(collector.ok());
-  EXPECT_FALSE(collector->PublishedStream(9).ok());
+  EXPECT_FALSE(collector->GapFilledStream(9).ok());
   EXPECT_FALSE(collector->SubsequenceMean(9, 0, 5).ok());
 }
 
-TEST(CollectorSessionTest, SubsequenceMeanOverReports) {
-  auto collector = CollectorSession::Create(1);
+TEST(KeepStreamsCollectorTest, SubsequenceMeanOverReports) {
+  auto collector = ShardedCollector::Create();
   ASSERT_TRUE(collector.ok());
-  collector->Ingest({1, 0, 0.2});
-  collector->Ingest({1, 1, 0.4});
-  collector->Ingest({1, 2, 0.9});
+  IngestReport(*collector, {1, 0, 0.2});
+  IngestReport(*collector, {1, 1, 0.4});
+  IngestReport(*collector, {1, 2, 0.9});
   auto mean = collector->SubsequenceMean(1, 0, 2);
   ASSERT_TRUE(mean.ok());
   EXPECT_NEAR(*mean, 0.3, 1e-12);
@@ -110,12 +110,12 @@ TEST(CollectorSessionTest, SubsequenceMeanOverReports) {
   EXPECT_FALSE(collector->SubsequenceMean(1, 0, 0).ok());
 }
 
-TEST(CollectorSessionTest, PopulationSlotMeans) {
-  auto collector = CollectorSession::Create(1);
+TEST(KeepStreamsCollectorTest, PopulationSlotMeans) {
+  auto collector = ShardedCollector::Create();
   ASSERT_TRUE(collector.ok());
-  collector->Ingest({1, 0, 0.2});
-  collector->Ingest({2, 0, 0.4});
-  collector->Ingest({1, 2, 1.0});
+  IngestReport(*collector, {1, 0, 0.2});
+  IngestReport(*collector, {2, 0, 0.4});
+  IngestReport(*collector, {1, 2, 1.0});
   const auto means = collector->PopulationSlotMeans();
   ASSERT_EQ(means.size(), 3u);
   EXPECT_NEAR(means[0], 0.3, 1e-12);
@@ -123,8 +123,8 @@ TEST(CollectorSessionTest, PopulationSlotMeans) {
   EXPECT_NEAR(means[2], 1.0, 1e-12);
 }
 
-TEST(CollectorSessionTest, EmptySessionBehaves) {
-  auto collector = CollectorSession::Create();
+TEST(KeepStreamsCollectorTest, EmptyCollectorBehaves) {
+  auto collector = ShardedCollector::Create();
   ASSERT_TRUE(collector.ok());
   EXPECT_EQ(collector->user_count(), 0u);
   EXPECT_TRUE(collector->PopulationSlotMeans().empty());
@@ -133,7 +133,7 @@ TEST(CollectorSessionTest, EmptySessionBehaves) {
 // End-to-end: many user sessions feeding one collector; the population
 // mean tracks the true common signal.
 TEST(SessionIntegrationTest, PopulationMeanTracksSignal) {
-  auto collector = CollectorSession::Create(1);
+  auto collector = ShardedCollector::Create({.keep_streams = true});
   ASSERT_TRUE(collector.ok());
   const int kUsers = 400;
   // The deviation feedback corrects the running mean with time constant
@@ -158,7 +158,7 @@ TEST(SessionIntegrationTest, PopulationMeanTracksSignal) {
     const double x = 0.5 + 0.15 * std::sin(t / 3.0);
     signal.push_back(x);
     for (auto& session : sessions) {
-      collector->Ingest(session.Report(x));
+      IngestReport(*collector, session.Report(x));
     }
   }
   const auto means = collector->PopulationSlotMeans();
@@ -170,80 +170,6 @@ TEST(SessionIntegrationTest, PopulationMeanTracksSignal) {
   // stream matches the signal's average (Lemma IV.2). Per-slot tracking
   // needs the debiasing collector of analysis/reconstruction.h instead.
   EXPECT_NEAR(Mean(means), Mean(signal), 0.04);
-}
-
-// ---------------------------------------------------------- report I/O ----
-
-class ReportIoTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    path_ = (std::filesystem::temp_directory_path() /
-             "capp_report_io_test.csv")
-                .string();
-  }
-  void TearDown() override { std::remove(path_.c_str()); }
-  std::string path_;
-};
-
-TEST_F(ReportIoTest, RoundTrip) {
-  const std::vector<SlotReport> reports = {
-      {1, 0, 0.25}, {1, 1, -0.1}, {42, 7, 1.3}};
-  ASSERT_TRUE(SaveReportsCsv(path_, reports).ok());
-  auto loaded = LoadReportsCsv(path_);
-  ASSERT_TRUE(loaded.ok());
-  ASSERT_EQ(loaded->size(), 3u);
-  EXPECT_EQ((*loaded)[2].user_id, 42u);
-  EXPECT_EQ((*loaded)[2].slot, 7u);
-  EXPECT_DOUBLE_EQ((*loaded)[2].value, 1.3);
-  EXPECT_DOUBLE_EQ((*loaded)[1].value, -0.1);
-}
-
-TEST_F(ReportIoTest, RejectsWrongFieldCount) {
-  {
-    std::ofstream out(path_);
-    out << "user_id,slot,value\n1,2\n";
-  }
-  EXPECT_FALSE(LoadReportsCsv(path_).ok());
-}
-
-TEST_F(ReportIoTest, RejectsNegativeIds) {
-  {
-    std::ofstream out(path_);
-    out << "user_id,slot,value\n-1,0,0.5\n";
-  }
-  EXPECT_FALSE(LoadReportsCsv(path_).ok());
-}
-
-TEST_F(ReportIoTest, MissingFileIsError) {
-  EXPECT_FALSE(LoadReportsCsv("/definitely/not/here.csv").ok());
-}
-
-TEST_F(ReportIoTest, BatchIngestEquivalentToStreaming) {
-  // A user streams via session; reports are archived, reloaded, and batch-
-  // ingested into a fresh collector; both collectors agree.
-  auto session = UserSession::Create(5, AlgorithmKind::kApp, {1.0, 10}, 3);
-  ASSERT_TRUE(session.ok());
-  std::vector<SlotReport> reports;
-  auto live = CollectorSession::Create();
-  ASSERT_TRUE(live.ok());
-  for (int t = 0; t < 30; ++t) {
-    const SlotReport report = session->Report(0.4 + 0.01 * t);
-    live->Ingest(report);
-    reports.push_back(report);
-  }
-  ASSERT_TRUE(SaveReportsCsv(path_, reports).ok());
-  auto reloaded = LoadReportsCsv(path_);
-  ASSERT_TRUE(reloaded.ok());
-  auto replayed = CollectorSession::Create();
-  ASSERT_TRUE(replayed.ok());
-  IngestAll(*reloaded, &*replayed);
-  auto live_stream = live->PublishedStream(5);
-  auto replay_stream = replayed->PublishedStream(5);
-  ASSERT_TRUE(live_stream.ok() && replay_stream.ok());
-  ASSERT_EQ(live_stream->size(), replay_stream->size());
-  for (size_t t = 0; t < live_stream->size(); ++t) {
-    EXPECT_NEAR((*live_stream)[t], (*replay_stream)[t], 1e-9) << t;
-  }
 }
 
 }  // namespace

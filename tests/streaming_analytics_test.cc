@@ -464,10 +464,10 @@ TEST(SlotHistogramTest, OverwriteMovesTheBinUnderKeepStreams) {
   ASSERT_TRUE(geometry.ok());
   ShardedCollector collector =
       MakeAnalyticsCollector(*geometry, /*keep_streams=*/true);
-  collector.Ingest({1, 0, 0.1});
-  collector.Ingest({1, 0, 0.9});  // overwrite: last write wins
-  collector.Ingest({1, 0, 5.0});  // overwrite into the overflow bin
-  collector.Ingest({1, 0, 0.9});  // and back in range
+  for (double value : {0.1, 0.9, 5.0, 0.9}) {
+    // Overwrites: last write wins, into the overflow bin and back.
+    collector.IngestUserRun(1, 0, {&value, 1});
+  }
   EXPECT_EQ(collector.report_count(), 1u);
   auto histograms = collector.PopulationSlotHistograms();
   ASSERT_TRUE(histograms.ok());

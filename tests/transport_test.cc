@@ -16,9 +16,11 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <limits>
 #include <optional>
 #include <set>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -661,6 +663,117 @@ TEST(WireFormatTest, MultiDimRejectsBadDimsAndCounts) {
   EXPECT_FALSE(
       DecodeUserRunFrame(absurd, &user, &base, &dims, decoded).ok());
   EXPECT_FALSE(PeekUserRunFrame(absurd).ok());
+}
+
+// ------------------------------------------------- hostile base_slot ----
+
+// Hand-builds a 0xC5 frame with an arbitrary base_slot and a correct CRC
+// (AppendUserRunFrame refuses to emit one past the cell bound).
+std::vector<uint8_t> BuildRawUserRunFrame(uint64_t user_id,
+                                          uint64_t base_slot,
+                                          std::span<const double> payload) {
+  std::vector<uint8_t> bytes;
+  bytes.push_back(kWireFrameMagic);
+  AppendVarint(user_id, bytes);
+  AppendVarint(base_slot, bytes);
+  AppendVarint(payload.size(), bytes);
+  const size_t header = bytes.size();
+  bytes.resize(header + payload.size() * sizeof(double));
+  if (!payload.empty()) {
+    std::memcpy(bytes.data() + header, payload.data(),
+                payload.size() * sizeof(double));
+  }
+  const uint32_t crc = Crc32(bytes);
+  for (int b = 0; b < 4; ++b) {
+    bytes.push_back(static_cast<uint8_t>(crc >> (8 * b)));
+  }
+  return bytes;
+}
+
+// A frame whose run ends past cell kWireMaxRunLength would wrap
+// base_slot + count inside the collector and index far outside its
+// aggregate arrays, so decode must refuse it however valid its CRC.
+TEST(WireFormatTest, RejectsRunEndingPastCellBound) {
+  const std::vector<double> three = {0.25, 0.5, 0.75};
+  uint64_t user = 0;
+  uint64_t base = 0;
+  uint64_t dims = 0;
+  std::vector<double> decoded;
+
+  // base_slot = 2^64 - 2: base_slot + 3 wraps to 1.
+  const auto wrapping = BuildRawUserRunFrame(
+      1, std::numeric_limits<uint64_t>::max() - 1, three);
+  EXPECT_FALSE(DecodeUserRunFrame(wrapping, &user, &base, decoded).ok());
+  EXPECT_FALSE(PeekUserRunFrame(wrapping).ok());
+
+  // 0xC6 at d=4: base_slot * dims overflows 64 bits.
+  const std::vector<double> four = {0.1, 0.2, 0.3, 0.4};
+  const auto overflowing =
+      BuildRawMultiDimFrame(1, (uint64_t{1} << 62) + 1, 4, four);
+  EXPECT_FALSE(
+      DecodeUserRunFrame(overflowing, &user, &base, &dims, decoded).ok());
+  EXPECT_FALSE(PeekUserRunFrame(overflowing).ok());
+
+  // The bound is inclusive: a run ending exactly at the last cell
+  // decodes, one slot later does not.
+  const auto at_bound =
+      BuildRawUserRunFrame(1, kWireMaxRunLength - three.size(), three);
+  EXPECT_TRUE(DecodeUserRunFrame(at_bound, &user, &base, decoded).ok());
+  const auto past_bound =
+      BuildRawUserRunFrame(1, kWireMaxRunLength - three.size() + 1, three);
+  EXPECT_FALSE(DecodeUserRunFrame(past_bound, &user, &base, decoded).ok());
+  const auto d4_at_bound =
+      BuildRawMultiDimFrame(1, kWireMaxRunLength / 4 - 1, 4, four);
+  EXPECT_TRUE(
+      DecodeUserRunFrame(d4_at_bound, &user, &base, &dims, decoded).ok());
+  const auto d4_past_bound =
+      BuildRawMultiDimFrame(1, kWireMaxRunLength / 4, 4, four);
+  EXPECT_FALSE(
+      DecodeUserRunFrame(d4_past_bound, &user, &base, &dims, decoded).ok());
+}
+
+TEST(WireFormatDeathTest, EncodeRefusesRunEndingPastCellBound) {
+  // Encode honors the bound decode enforces: a frame every consumer
+  // (and WAL replay) would reject must never be written.
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  const std::vector<double> three = {0.25, 0.5, 0.75};
+  std::vector<uint8_t> bytes;
+  EXPECT_DEATH(AppendUserRunFrame(1, kWireMaxRunLength - 2, three, bytes),
+               "RunFitsCellBound");
+  const std::vector<double> four = {0.1, 0.2, 0.3, 0.4};
+  EXPECT_DEATH(
+      AppendMultiDimRunFrame(1, (uint64_t{1} << 62) + 1, 4, four, bytes),
+      "RunFitsCellBound");
+}
+
+// The same frame arriving off the wire must be a counted decode failure
+// that fails Drain() and leaves the collector untouched, in both
+// collector writer disciplines.
+TEST(TransportHubTest, RunPastCellBoundIsADecodeFailure) {
+  const std::vector<double> three = {0.25, 0.5, 0.75};
+  const auto frame = BuildRawUserRunFrame(
+      1, std::numeric_limits<uint64_t>::max() - 1, three);
+  for (bool owned : {false, true}) {
+    SCOPED_TRACE(owned);
+    auto collector = ShardedCollector::Create(
+        {.keep_streams = false, .single_writer = owned});
+    ASSERT_TRUE(collector.ok());
+    TransportOptions options;
+    options.kind = TransportKind::kQueueFramed;
+    options.num_consumers = 1;
+    options.shard_affinity = owned;
+    options.owned_shards = owned;
+    auto hub = TransportHub::Create(&*collector, options);
+    ASSERT_TRUE(hub.ok());
+    {
+      auto producer = (*hub)->MakeProducer();
+      producer.PublishEncoded(frame, /*user_id=*/1, three.size());
+    }
+    EXPECT_FALSE((*hub)->Drain().ok());
+    EXPECT_EQ((*hub)->stats().decode_failures, 1u);
+    EXPECT_EQ(collector->report_count(), 0u);
+    EXPECT_EQ(collector->user_count(), 0u);
+  }
 }
 
 // ------------------------------------------------------------ mpsc queue ----
