@@ -80,15 +80,8 @@ int PrintAnalytics(const capp::Fleet& fleet,
                    const capp::EngineStats& stats) {
   const capp::EngineConfig& config = fleet.config();
   capp::StreamingAnalyzerOptions options;
-  // Budget split spends epsilon / (dims * w) per (attribute, slot)
-  // publication; sample split (and d = 1) spends epsilon / w.
-  const double budget_dims =
-      config.dims > 1 && config.multidim_strategy ==
-                             capp::MultidimStrategy::kBudgetSplit
-          ? static_cast<double>(config.dims)
-          : 1.0;
-  options.epsilon_per_slot =
-      config.epsilon / (budget_dims * config.window);
+  options.epsilon_per_slot = capp::PerSlotBudget(
+      config.epsilon, config.window, config.dims, config.multidim_strategy);
   options.histogram_buckets = config.analytics.histogram_buckets;
   options.window = static_cast<size_t>(config.window);
   auto analyzer = capp::StreamingAnalyzer::Create(options);

@@ -134,17 +134,12 @@ Status StreamingAnalyzer::CheckCollectorGeometry(
 
 Result<StreamAnalytics> StreamingAnalyzer::AnalyzeCollector(
     const ShardedCollector& collector) const {
-  CAPP_RETURN_IF_ERROR(CheckCollectorGeometry(collector));
   if (collector.dims() > 1) {
     return Status::FailedPrecondition(
         "collector cells interleave " + std::to_string(collector.dims()) +
         " attributes; analyze one at a time with AnalyzeCollectorDim");
   }
-  CAPP_ASSIGN_OR_RETURN(const std::vector<std::vector<uint64_t>> histograms,
-                        collector.PopulationSlotHistograms());
-  const std::vector<SlotAggregate> aggregates =
-      collector.PopulationSlotAggregates();
-  return AnalyzeSnapshot(histograms, aggregates);
+  return AnalyzeCollectorDim(collector, 0);
 }
 
 Result<StreamAnalytics> StreamingAnalyzer::AnalyzeCollectorDim(
@@ -160,7 +155,6 @@ Result<StreamAnalytics> StreamingAnalyzer::AnalyzeCollectorDim(
                         collector.PopulationSlotHistograms());
   const std::vector<SlotAggregate> aggregates =
       collector.PopulationSlotAggregates();
-  if (dims == 1) return AnalyzeSnapshot(histograms, aggregates);
   // The snapshots are per cell (slot * dims + dim); gather this
   // attribute's slice so the core sees one scalar stream's slots.
   const size_t cells = std::min(histograms.size(), aggregates.size());

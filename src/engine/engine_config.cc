@@ -117,6 +117,14 @@ Status ValidateEngineConfig(const EngineConfig& config) {
   return Status::OK();
 }
 
+void AppendDimsFingerprintWords(size_t dims, MultidimStrategy strategy,
+                                std::vector<uint64_t>& words) {
+  if (dims > 1) {
+    words.push_back(static_cast<uint64_t>(dims));
+    words.push_back(static_cast<uint64_t>(strategy));
+  }
+}
+
 uint64_t EngineConfigFingerprint(const EngineConfig& config) {
   std::vector<uint64_t> words = {
       static_cast<uint64_t>(config.algorithm),
@@ -132,13 +140,7 @@ uint64_t EngineConfigFingerprint(const EngineConfig& config) {
       static_cast<uint64_t>(config.analytics.histogram_buckets),
       static_cast<uint64_t>(config.smoothing_window),
   };
-  if (config.dims > 1) {
-    // Appended only for multi-dimensional configs, so every d=1
-    // fingerprint -- and with it every existing WAL segment, checkpoint,
-    // and committed baseline -- is unchanged by the dims extension.
-    words.push_back(static_cast<uint64_t>(config.dims));
-    words.push_back(static_cast<uint64_t>(config.multidim_strategy));
-  }
+  AppendDimsFingerprintWords(config.dims, config.multidim_strategy, words);
   return WalFingerprint(words);
 }
 
@@ -146,17 +148,12 @@ uint64_t StreamHandshakeFingerprint(double epsilon, int window, size_t dims,
                                     MultidimStrategy strategy) {
   // Deliberately narrower than EngineConfigFingerprint: a collector can
   // serve fleets of any size, signal, or seed, but budget and report
-  // shape must agree or the aggregates mean nothing. Mirrors the d=1
-  // compatibility trick above: dims/strategy are appended only for
-  // multi-dimensional streams.
+  // shape must agree or the aggregates mean nothing.
   std::vector<uint64_t> words = {
       std::bit_cast<uint64_t>(epsilon),
       static_cast<uint64_t>(window),
   };
-  if (dims > 1) {
-    words.push_back(static_cast<uint64_t>(dims));
-    words.push_back(static_cast<uint64_t>(strategy));
-  }
+  AppendDimsFingerprintWords(dims, strategy, words);
   return WalFingerprint(words);
 }
 

@@ -138,6 +138,13 @@ struct EngineConfig {
   DurabilityConfig durability = {};
 };
 
+/// Appends the report shape -- dims and the budget strategy -- to a
+/// fingerprint's words, only when dims > 1: every d = 1 fingerprint (and
+/// every WAL segment, checkpoint and handshake stamped with one) stays
+/// the one from before dimensions existed, whatever the strategy.
+void AppendDimsFingerprintWords(size_t dims, MultidimStrategy strategy,
+                                std::vector<uint64_t>& words);
+
 /// Fingerprint of the config fields that determine what a collector's
 /// aggregate state means: algorithm, budget, fleet shape, signal, seed,
 /// shard count, stream retention, and the analytics histogram geometry.

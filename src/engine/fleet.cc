@@ -6,6 +6,7 @@
 #include <memory>
 #include <numbers>
 #include <optional>
+#include <span>
 #include <utility>
 
 #include "analysis/streaming_analytics.h"
@@ -14,7 +15,6 @@
 #include "core/stream_digest.h"
 #include "data/generators.h"
 #include "engine/thread_pool.h"
-#include "stream/session.h"
 #include "stream/smoothing.h"
 #include "telemetry/instruments.h"
 #include "telemetry/metrics.h"
@@ -38,9 +38,7 @@ struct ChunkSums {
 // was the single largest per-report cost after the perturbation hot path
 // was batched. The identity is exact in real arithmetic; the generated
 // signal can differ from naive per-slot sin evaluation in the last ulp,
-// identically for every thread count and for the scalar and batched
-// perturbation paths (the workload is input data, generated before either
-// path runs).
+// identically for every thread count.
 struct SinusoidBase {
   size_t n = 0;
   double period = 0.0;
@@ -62,55 +60,16 @@ struct SinusoidBase {
   }
 };
 
-}  // namespace
-
-uint64_t UserStreamSeed(uint64_t fleet_seed, uint64_t user_id,
-                        uint64_t stream) {
-  return SplitMix64Mix(SplitMix64Mix(fleet_seed ^ SplitMix64Mix(user_id)) +
-                       stream);
-}
-
-std::vector<double> GenerateUserSignal(SignalKind kind, size_t num_slots,
-                                       Rng& rng) {
-  std::vector<double> out;
-  GenerateUserSignalInto(kind, num_slots, rng, out);
-  return out;
-}
-
-void GenerateUserSignalInto(SignalKind kind, size_t num_slots, Rng& rng,
-                            std::vector<double>& out) {
+// One dimension of the serial workload families, written into `out`
+// (cleared and refilled). Their RNG use is inherently sequential.
+void GenerateSerialSignalInto(SignalKind kind, size_t num_slots, Rng& rng,
+                              std::vector<double>& out) {
   switch (kind) {
     case SignalKind::kConstant:
       ConstantSeriesInto(num_slots, rng.Uniform(0.3, 0.7), out);
       return;
-    case SignalKind::kSinusoid: {
-      // A shared daily cycle with per-user phase jitter and sensor noise:
-      // 0.5 + 0.15 * sin(2*pi*t/24 + phase) + N(0, 0.03), clamped. The
-      // sin(a + phase) term expands over the cached base angles (see
-      // SinusoidBase above); the RNG draw order (phase, then one Gaussian
-      // per slot) is part of the workload's determinism contract.
-      constexpr double kPeriod = 24.0;
-      constexpr double kAmplitude = 0.15;
-      constexpr double kOffset = 0.5;
-      thread_local SinusoidBase base;
-      base.Ensure(num_slots, kPeriod);
-      const double phase = rng.Uniform(-0.5, 0.5);
-      const double sin_phase = std::sin(phase);
-      const double cos_phase = std::cos(phase);
-      // The per-slot noise is block-generated into `out` (Rng::FillGaussian
-      // pins the scalar draw order, so the phase-then-per-slot-noise
-      // contract is unchanged), and 0.03 * g reproduces
-      // rng.Gaussian(0.0, 0.03) bit-for-bit. With the RNG out of the loop,
-      // the angle-addition + clamp body vectorizes.
-      out.resize(num_slots);
-      rng.FillGaussian(out);
-      for (size_t t = 0; t < num_slots; ++t) {
-        const double wave =
-            base.sin_base[t] * cos_phase + base.cos_base[t] * sin_phase;
-        out[t] = Clamp(kOffset + kAmplitude * wave + 0.03 * out[t], 0.0, 1.0);
-      }
-      return;
-    }
+    case SignalKind::kSinusoid:
+      break;  // Not serial: generated for all dimensions at once.
     case SignalKind::kAr1: {
       Ar1SeriesInto(num_slots, /*phi=*/0.9, /*sigma=*/0.05, /*mean=*/0.5,
                     rng, out);
@@ -128,23 +87,35 @@ void GenerateUserSignalInto(SignalKind kind, size_t num_slots, Rng& rng,
       return;
     }
   }
-  CAPP_CHECK(false);  // Unreachable: all kinds handled above.
+  CAPP_CHECK(false);  // Unreachable: every serial kind returns above.
+}
+
+}  // namespace
+
+uint64_t UserStreamSeed(uint64_t fleet_seed, uint64_t user_id,
+                        uint64_t stream) {
+  return SplitMix64Mix(SplitMix64Mix(fleet_seed ^ SplitMix64Mix(user_id)) +
+                       stream);
+}
+
+void GenerateUserSignalInto(SignalKind kind, size_t num_slots, Rng& rng,
+                            std::vector<double>& out) {
+  GenerateUserSignalMultiInto(kind, /*dims=*/1, num_slots, rng, out);
 }
 
 void GenerateUserSignalMultiInto(SignalKind kind, size_t dims,
                                  size_t num_slots, Rng& rng,
                                  std::vector<double>& out) {
-  if (dims <= 1) {
-    GenerateUserSignalInto(kind, num_slots, rng, out);
-    return;
-  }
   if (kind == SignalKind::kSinusoid) {
-    // The d attributes of one user are correlated readings of the same
-    // daily cycle: one phase draw shifted by a fixed per-dimension offset
-    // (attribute k leads attribute 0 by 0.35 * k radians), and one block
-    // Gaussian draw covering every dimension's noise. The d = 1 slice of
-    // this path is exactly GenerateUserSignalInto's sinusoid: same phase
-    // draw first, then FillGaussian -- just over a longer block.
+    // A shared daily cycle with per-user phase jitter and sensor noise:
+    // 0.5 + 0.15 * sin(2*pi*t/24 + phase_k) + N(0, 0.03), clamped. The d
+    // attributes of one user are correlated readings of the same cycle:
+    // one phase draw shifted by a fixed per-dimension offset (attribute k
+    // leads attribute 0 by 0.35 * k radians; at k = 0 the shift adds
+    // exactly 0). The sin(a + phase_k) term expands over the cached base
+    // angles (see SinusoidBase above); the RNG draw order (phase, then
+    // one Gaussian per cell) is part of the workload's determinism
+    // contract.
     constexpr double kPeriod = 24.0;
     constexpr double kAmplitude = 0.15;
     constexpr double kOffset = 0.5;
@@ -152,6 +123,10 @@ void GenerateUserSignalMultiInto(SignalKind kind, size_t dims,
     thread_local SinusoidBase base;
     base.Ensure(num_slots, kPeriod);
     const double phase = rng.Uniform(-0.5, 0.5);
+    // The noise is block-generated into `out` (Rng::FillGaussian pins the
+    // scalar draw order), and 0.03 * g reproduces rng.Gaussian(0.0, 0.03)
+    // bit-for-bit. With the RNG out of the loop, the angle-addition +
+    // clamp body vectorizes.
     out.resize(dims * num_slots);
     rng.FillGaussian(out);
     for (size_t k = 0; k < dims; ++k) {
@@ -168,13 +143,13 @@ void GenerateUserSignalMultiInto(SignalKind kind, size_t dims,
     }
     return;
   }
-  // The other workload families are inherently serial in their RNG use;
-  // dimension k's series is simply the k-th stream drawn from the user's
-  // signal RNG.
+  // The other families draw dimension k's series as the k-th stream from
+  // the user's signal RNG. Dimension 0 is generated straight into `out`.
+  GenerateSerialSignalInto(kind, num_slots, rng, out);
   out.resize(dims * num_slots);
   thread_local std::vector<double> dim_series;
-  for (size_t k = 0; k < dims; ++k) {
-    GenerateUserSignalInto(kind, num_slots, rng, dim_series);
+  for (size_t k = 1; k < dims; ++k) {
+    GenerateSerialSignalInto(kind, num_slots, rng, dim_series);
     std::copy(dim_series.begin(), dim_series.end(),
               out.begin() + static_cast<ptrdiff_t>(k * num_slots));
   }
@@ -189,27 +164,18 @@ Fleet::Fleet(EngineConfig config,
 
 Result<Fleet> Fleet::Create(EngineConfig config) {
   CAPP_RETURN_IF_ERROR(ValidateEngineConfig(config));
-  // Probe the algorithm once: rejects sampling-only kinds and yields the
-  // publication smoothing recommendation.
-  PerturberOptions options{config.epsilon, config.window};
-  CAPP_ASSIGN_OR_RETURN(auto probe, CreatePerturber(config.algorithm,
-                                                    options));
-  if (!probe->supports_online()) {
-    return Status::InvalidArgument(
-        "fleet devices need an online algorithm; sampling kinds perturb "
-        "whole subsequences");
-  }
+  // Probe the device pipeline once: an unsupported (dims, strategy,
+  // algorithm) combination -- a sampling-only kind, say -- fails here with
+  // a real Status instead of CHECK-failing inside a worker thread, and
+  // the probe yields the publication smoothing recommendation.
+  CAPP_ASSIGN_OR_RETURN(
+      MultidimPerturber probe,
+      MultidimPerturber::Create(config.dims, config.multidim_strategy,
+                                {config.epsilon, config.window},
+                                config.algorithm));
   const int smoothing = config.smoothing_window != 0
                             ? config.smoothing_window
-                            : probe->publication_smoothing_window();
-  if (config.dims > 1) {
-    // Probe the multi-dim wrapper too, so an unsupported (strategy,
-    // inner) combination fails here with a real Status instead of
-    // CHECK-failing inside a worker thread.
-    auto multidim_probe = MultidimPerturber::Create(
-        config.dims, config.multidim_strategy, options, config.algorithm);
-    if (!multidim_probe.ok()) return multidim_probe.status();
-  }
+                            : probe.publication_smoothing_window();
   ShardedCollectorOptions collector_options;
   collector_options.num_shards = config.num_shards;
   collector_options.keep_streams = config.keep_streams;
@@ -219,21 +185,15 @@ Result<Fleet> Fleet::Create(EngineConfig config) {
   // translates directly into single-writer collector storage.
   collector_options.single_writer = config.transport.owned_shards;
   if (config.analytics.enabled) {
-    // Histogram geometry follows the fleet's per-slot budget, so a
-    // StreamingAnalyzer created at the same budget/resolution consumes
-    // the collector's bins directly. Budget split spends epsilon /
-    // (dims * window) per (dimension, slot) publication; sample split
-    // spends the whole epsilon / window on the one dimension it uploads.
-    const double per_slot_budget =
-        config.dims > 1 &&
-                config.multidim_strategy == MultidimStrategy::kBudgetSplit
-            ? config.epsilon /
-                  (static_cast<double>(config.dims) * config.window)
-            : config.epsilon / config.window;
+    // Histogram geometry follows the fleet's per-(dimension, slot) budget,
+    // so a StreamingAnalyzer created at the same budget/resolution
+    // consumes the collector's bins directly.
     CAPP_ASSIGN_OR_RETURN(
         collector_options.histogram,
         StreamingAnalyzer::CollectorHistogramOptions(
-            per_slot_budget, config.analytics.histogram_buckets));
+            PerSlotBudget(config.epsilon, config.window, config.dims,
+                          config.multidim_strategy),
+            config.analytics.histogram_buckets));
   }
   CAPP_ASSIGN_OR_RETURN(ShardedCollector collector,
                         ShardedCollector::Create(collector_options));
@@ -281,8 +241,7 @@ Result<EngineStats> Fleet::Run() {
   const size_t dims = config_.dims;
   // Everything per-slot generalizes to per-cell: a user's run, the chunk
   // accumulators, and the collector's storage all hold dims * slots
-  // doubles, dim-major. cells == slots at d = 1, so that path's loop
-  // bounds, arithmetic, and digests are untouched.
+  // doubles, dim-major (cells == slots at d = 1).
   const size_t cells = dims * slots;
   const size_t chunk_size = config_.chunk_size;
   const size_t num_chunks = (users + chunk_size - 1) / chunk_size;
@@ -322,47 +281,27 @@ Result<EngineStats> Fleet::Run() {
     sums.true_sum.assign(cells, 0.0);
     sums.report_sum.assign(cells, 0.0);
     // Pooled per-worker state, reused across every user in the chunk: one
-    // session (reseeded per user via ResetForUser -- no perturber or
-    // mechanism construction on the per-user path) and preallocated
-    // signal/report/smoothing buffers. The per-report hot path is
-    // allocation-free after the first user. Multi-dimensional runs pool
-    // a MultidimPerturber the same way (reseeded per user), leaving the
-    // scalar session untouched.
-    auto session = UserSession::Create(begin, config_.algorithm,
-                                       {config_.epsilon, config_.window},
-                                       /*seed=*/0);
-    CAPP_CHECK(session.ok());  // Config was validated in Create.
-    std::optional<MultidimPerturber> multidim;
-    if (dims > 1) {
-      auto created = MultidimPerturber::Create(
-          dims, config_.multidim_strategy,
-          {config_.epsilon, config_.window}, config_.algorithm);
-      CAPP_CHECK(created.ok());  // Probed in Create.
-      multidim.emplace(std::move(*created));
-    }
+    // device pipeline (reseeded per user via ResetForUser -- no perturber
+    // or mechanism construction on the per-user path) and preallocated
+    // signal/report/smoothing buffers.
+    auto perturber = MultidimPerturber::Create(
+        dims, config_.multidim_strategy, {config_.epsilon, config_.window},
+        config_.algorithm);
+    CAPP_CHECK(perturber.ok());  // Probed in Create.
     std::vector<double> truth;
     std::vector<double> report_values(cells);
-    std::vector<double> published;
+    std::vector<double> published(cells);
+    std::vector<double> dim_smoothed;
     std::vector<double> sma_scratch;
-    std::vector<double> dim_row;       // d > 1 only: per-dim SMA staging
-    std::vector<double> dim_smoothed;  // d > 1 only
     std::optional<TransportHub::Producer> producer;
     if (hub != nullptr) producer.emplace(hub->MakeProducer());
 
     for (uint64_t uid = begin; uid < end; ++uid) {
       Rng signal_rng(UserStreamSeed(config_.seed, uid, 0));
-      if (dims == 1) {
-        GenerateUserSignalInto(config_.signal, slots, signal_rng, truth);
-        session->ResetForUser(uid, UserStreamSeed(config_.seed, uid, 1));
-        // All of the user's slots go through the batched perturbation
-        // pipeline in one call (bit-identical to per-slot Report).
-        session->ReportChunk(truth, report_values);
-      } else {
-        GenerateUserSignalMultiInto(config_.signal, dims, slots, signal_rng,
-                                    truth);
-        multidim->ResetForUser(UserStreamSeed(config_.seed, uid, 1));
-        multidim->PerturbStream(truth, slots, report_values);
-      }
+      GenerateUserSignalMultiInto(config_.signal, dims, slots, signal_rng,
+                                  truth);
+      perturber->ResetForUser(UserStreamSeed(config_.seed, uid, 1));
+      perturber->PerturbStream(truth, slots, report_values);
       // The device's whole stream is delivered as one run: one shard
       // lookup and lock acquisition per user instead of per-report
       // staging through SlotReport buffers. Queued transports stage the
@@ -374,26 +313,17 @@ Result<EngineStats> Fleet::Run() {
         ingest->IngestUserRun(uid, /*base_slot=*/0, dims, report_values);
       }
       sums.reports += cells;
-      if (dims == 1) {
-        CAPP_CHECK(SimpleMovingAverageInto(report_values, smoothing_window_,
-                                           published, sma_scratch)
+      // The collector-side SMA is per attribute: each dim-major row is
+      // smoothed independently and the published stream keeps the
+      // dim-major layout (it is what the digest hashes).
+      for (size_t k = 0; k < dims; ++k) {
+        CAPP_CHECK(SimpleMovingAverageInto(
+                       std::span<const double>(report_values)
+                           .subspan(k * slots, slots),
+                       smoothing_window_, dim_smoothed, sma_scratch)
                        .ok());
-      } else {
-        // The collector-side SMA is per attribute: each dim-major row is
-        // smoothed independently and the published stream keeps the
-        // dim-major layout (it is what the digest hashes).
-        published.resize(cells);
-        for (size_t k = 0; k < dims; ++k) {
-          dim_row.assign(
-              report_values.begin() + static_cast<ptrdiff_t>(k * slots),
-              report_values.begin() +
-                  static_cast<ptrdiff_t>((k + 1) * slots));
-          CAPP_CHECK(SimpleMovingAverageInto(dim_row, smoothing_window_,
-                                             dim_smoothed, sma_scratch)
-                         .ok());
-          std::copy(dim_smoothed.begin(), dim_smoothed.end(),
-                    published.begin() + static_cast<ptrdiff_t>(k * slots));
-        }
+        std::copy(dim_smoothed.begin(), dim_smoothed.end(),
+                  published.begin() + static_cast<ptrdiff_t>(k * slots));
       }
       // The digest is one chunk-level hash of the published block
       // (core/stream_digest.h), so the slot-sum accumulation no longer
@@ -464,10 +394,9 @@ Result<EngineStats> Fleet::Run() {
   KahanSum total_mse;
   KahanSum total_mae;
   for (size_t k = 0; k < dims; ++k) {
-    const std::vector<double> row(
-        report_mean.begin() + static_cast<ptrdiff_t>(k * slots),
-        report_mean.begin() + static_cast<ptrdiff_t>((k + 1) * slots));
-    auto smoothed = SimpleMovingAverage(row, smoothing_window_);
+    auto smoothed = SimpleMovingAverage(
+        std::span<const double>(report_mean).subspan(k * slots, slots),
+        smoothing_window_);
     CAPP_CHECK(smoothed.ok());
     std::copy(smoothed->begin(), smoothed->end(),
               published_mean.begin() + static_cast<ptrdiff_t>(k * slots));

@@ -2,14 +2,16 @@
 // deployment (Fig. 1) at population scale.
 //
 // A Fleet owns one simulated population. Each user is an independent
-// UserSession whose RNG seeds are derived from (fleet seed, user id) with
+// device whose RNG seeds are derived from (fleet seed, user id) with
 // splitmix64, so a user's perturbed stream is a pure function of the config
-// -- never of thread scheduling. The population is split into fixed-size
-// chunks of users; worker threads claim chunks, advance every session in
-// the chunk slot-by-slot, and deliver each user's whole run either straight
-// to the collector (CollectorBackend::IngestUserRun) or through the
-// worker's TransportHub::Producer::Publish. Per-chunk accumulators are
-// reduced in chunk order afterwards, so the reported statistics (and the
+// -- never of thread scheduling. Every device, at any d >= 1, runs one
+// MultidimPerturber (d = 1 is its one-dimension case, bit-identical to a
+// UserSession). The population is split into fixed-size chunks of users;
+// worker threads claim chunks, run every device in the chunk through one
+// pooled perturber, and deliver each user's whole run either straight to
+// the collector (CollectorBackend::IngestUserRun) or through the worker's
+// TransportHub::Producer::Publish. Per-chunk accumulators are reduced in
+// chunk order afterwards, so the reported statistics (and the
 // published-stream digest) are bit-identical for any thread count.
 #ifndef CAPP_ENGINE_FLEET_H_
 #define CAPP_ENGINE_FLEET_H_
@@ -31,38 +33,31 @@ namespace capp {
 uint64_t UserStreamSeed(uint64_t fleet_seed, uint64_t user_id,
                         uint64_t stream);
 
-/// Generates one user's true (unperturbed) workload, already in [0, 1].
-/// Deterministic given the Rng state.
-std::vector<double> GenerateUserSignal(SignalKind kind, size_t num_slots,
-                                       Rng& rng);
-
-/// In-place variant: writes the signal into `out` (cleared and refilled,
-/// capacity reused). Identical values and RNG consumption; the fleet
-/// workers call this once per user on a pooled buffer.
+/// Generates one user's true (unperturbed) workload, already in [0, 1],
+/// into `out` (cleared and refilled, capacity reused). Deterministic given
+/// the Rng state. The one-dimension case of GenerateUserSignalMultiInto.
 void GenerateUserSignalInto(SignalKind kind, size_t num_slots, Rng& rng,
                             std::vector<double>& out);
 
 /// d-dimensional variant: fills `out` with dims * num_slots doubles,
 /// dim-major (dimension k's series at [k * num_slots, (k+1) * num_slots)).
-/// dims == 1 is GenerateUserSignalInto exactly -- same values, same RNG
-/// consumption. For the sinusoid workload the dimensions are correlated:
-/// they share the user's phase draw (each shifted by a fixed per-dimension
-/// offset) and one block Gaussian draw covers all dims * num_slots noise
-/// samples; other kinds generate the dimensions sequentially from the
-/// same RNG.
+/// For the sinusoid workload the dimensions are correlated: they share the
+/// user's phase draw (each shifted by a fixed per-dimension offset) and
+/// one block Gaussian draw covers all dims * num_slots noise samples;
+/// other kinds generate the dimensions sequentially from the same RNG.
 void GenerateUserSignalMultiInto(SignalKind kind, size_t dims,
                                  size_t num_slots, Rng& rng,
                                  std::vector<double>& out);
 
-/// A simulated population of UserSessions feeding one ShardedCollector.
+/// A simulated population of devices feeding one ShardedCollector.
 class Fleet {
  public:
-  /// Validates the config (including that the algorithm supports online
-  /// per-slot operation) and prepares an empty collector. With
-  /// EngineConfig::durability set, any existing WAL/checkpoint state
-  /// under durability.dir is recovered into the collector here, before
-  /// Run -- a resumed fleet then re-sends every run and the durable
-  /// tier's user-id dedup lands each exactly once.
+  /// Validates the config (including, through a MultidimPerturber probe,
+  /// that the algorithm supports online per-slot operation) and prepares
+  /// an empty collector. With EngineConfig::durability set, any existing
+  /// WAL/checkpoint state under durability.dir is recovered into the
+  /// collector here, before Run -- a resumed fleet then re-sends every run
+  /// and the durable tier's user-id dedup lands each exactly once.
   static Result<Fleet> Create(EngineConfig config);
 
   /// Simulates the whole fleet over all slots, ingesting every report into

@@ -4,20 +4,34 @@
 
 namespace capp {
 
-Result<std::unique_ptr<BudgetSplitPerturber>> BudgetSplitPerturber::Create(
-    size_t dimensions, PerturberOptions options, AlgorithmKind inner) {
+Result<std::vector<std::unique_ptr<StreamPerturber>>>
+CreateDimensionPerturbers(size_t dimensions, AlgorithmKind inner,
+                          PerturberOptions per_dimension) {
   if (dimensions == 0) {
     return Status::InvalidArgument("dimensions must be >= 1");
   }
-  CAPP_RETURN_IF_ERROR(ValidatePerturberOptions(options));
-  PerturberOptions per_dim = options;
-  per_dim.epsilon = options.epsilon / static_cast<double>(dimensions);
   std::vector<std::unique_ptr<StreamPerturber>> inners;
   inners.reserve(dimensions);
   for (size_t d = 0; d < dimensions; ++d) {
-    CAPP_ASSIGN_OR_RETURN(auto p, CreatePerturber(inner, per_dim));
+    CAPP_ASSIGN_OR_RETURN(auto p, CreatePerturber(inner, per_dimension));
+    if (!p->supports_online()) {
+      return Status::InvalidArgument(
+          "multi-dimensional strategies need an online inner algorithm; " +
+          std::string(AlgorithmKindName(inner)) +
+          " perturbs whole subsequences");
+    }
     inners.push_back(std::move(p));
   }
+  return inners;
+}
+
+Result<std::unique_ptr<BudgetSplitPerturber>> BudgetSplitPerturber::Create(
+    size_t dimensions, PerturberOptions options, AlgorithmKind inner) {
+  CAPP_RETURN_IF_ERROR(ValidatePerturberOptions(options));
+  PerturberOptions per_dim = options;
+  per_dim.epsilon = options.epsilon / static_cast<double>(dimensions);
+  CAPP_ASSIGN_OR_RETURN(auto inners,
+                        CreateDimensionPerturbers(dimensions, inner, per_dim));
   std::string name = std::string(AlgorithmKindName(inner)) + "-bs";
   return std::unique_ptr<BudgetSplitPerturber>(
       new BudgetSplitPerturber(std::move(inners), std::move(name)));
@@ -32,16 +46,6 @@ std::vector<double> BudgetSplitPerturber::ProcessVector(
     out.push_back(inner_[d]->ProcessValue(x[d], rng));
   }
   return out;
-}
-
-void BudgetSplitPerturber::Reset() {
-  for (auto& p : inner_) p->Reset();
-}
-
-void BudgetSplitPerturber::AttachAccountant(WEventAccountant* accountant) {
-  // All dimensions share the ledger: per-slot spends add across dimensions,
-  // so VerifyBudget checks the total multi-dimensional window spend.
-  for (auto& p : inner_) p->AttachAccountant(accountant);
 }
 
 }  // namespace capp

@@ -17,24 +17,51 @@
 
 namespace capp {
 
-/// Perturbs a d-dimensional stream, one vector per slot.
+/// Perturbs a d-dimensional stream, one vector per slot. Every strategy
+/// runs one inner scalar perturber per dimension.
 class MultiDimPerturber {
  public:
   virtual ~MultiDimPerturber() = default;
-  virtual std::string_view name() const = 0;
-  virtual size_t dimensions() const = 0;
+  std::string_view name() const { return name_; }
+  size_t dimensions() const { return inner_.size(); }
   /// SMA window the publication step calls for (delegates to the inner
   /// per-dimension algorithm; see StreamPerturber).
-  virtual int publication_smoothing_window() const = 0;
+  int publication_smoothing_window() const {
+    return inner_.front()->publication_smoothing_window();
+  }
+  /// Dimension k's inner scalar perturber.
+  StreamPerturber& dimension(size_t k) { return *inner_[k]; }
   /// Perturbs one slot's d-vector (values in [0,1] per dimension).
   virtual std::vector<double> ProcessVector(const std::vector<double>& x,
                                             Rng& rng) = 0;
   /// Clears per-stream state.
-  virtual void Reset() = 0;
+  virtual void Reset() {
+    for (auto& p : inner_) p->Reset();
+  }
   /// Optional shared ledger: window sums across *all* dimensions must stay
-  /// within the total budget.
-  virtual void AttachAccountant(WEventAccountant* accountant) = 0;
+  /// within the total budget. By default every dimension records into it,
+  /// so per-slot spends add across dimensions.
+  virtual void AttachAccountant(WEventAccountant* accountant) {
+    for (auto& p : inner_) p->AttachAccountant(accountant);
+  }
+
+ protected:
+  MultiDimPerturber(std::vector<std::unique_ptr<StreamPerturber>> inner,
+                    std::string name)
+      : inner_(std::move(inner)), name_(std::move(name)) {}
+
+  std::vector<std::unique_ptr<StreamPerturber>> inner_;
+
+ private:
+  std::string name_;
 };
+
+/// Creates the `dimensions` inner perturbers of a strategy, each running
+/// `inner` with `per_dimension` options. Refuses zero dimensions and the
+/// offline-only sampling kinds, which cannot report one slot at a time.
+Result<std::vector<std::unique_ptr<StreamPerturber>>>
+CreateDimensionPerturbers(size_t dimensions, AlgorithmKind inner,
+                          PerturberOptions per_dimension);
 
 /// Budget-Split multi-dimensional perturbation.
 class BudgetSplitPerturber final : public MultiDimPerturber {
@@ -44,23 +71,11 @@ class BudgetSplitPerturber final : public MultiDimPerturber {
       size_t dimensions, PerturberOptions options,
       AlgorithmKind inner = AlgorithmKind::kSwDirect);
 
-  std::string_view name() const override { return name_; }
-  size_t dimensions() const override { return inner_.size(); }
-  int publication_smoothing_window() const override {
-    return inner_.front()->publication_smoothing_window();
-  }
   std::vector<double> ProcessVector(const std::vector<double>& x,
                                     Rng& rng) override;
-  void Reset() override;
-  void AttachAccountant(WEventAccountant* accountant) override;
 
  private:
-  BudgetSplitPerturber(std::vector<std::unique_ptr<StreamPerturber>> inner,
-                       std::string name)
-      : inner_(std::move(inner)), name_(std::move(name)) {}
-
-  std::vector<std::unique_ptr<StreamPerturber>> inner_;
-  std::string name_;
+  using MultiDimPerturber::MultiDimPerturber;
 };
 
 }  // namespace capp

@@ -27,14 +27,16 @@ Result<MultidimStrategy> ParseMultidimStrategy(std::string_view name) {
                                  std::string(name));
 }
 
+double PerSlotBudget(double epsilon, int window, size_t dims,
+                     MultidimStrategy strategy) {
+  return strategy == MultidimStrategy::kBudgetSplit
+             ? epsilon / (static_cast<double>(dims) * window)
+             : epsilon / window;
+}
+
 Result<MultidimPerturber> MultidimPerturber::Create(
     size_t dims, MultidimStrategy strategy, PerturberOptions options,
     AlgorithmKind inner) {
-  if (dims < 2) {
-    return Status::InvalidArgument(
-        "MultidimPerturber wants dims >= 2; one-dimensional streams take "
-        "the scalar UserSession path");
-  }
   std::unique_ptr<MultiDimPerturber> impl;
   switch (strategy) {
     case MultidimStrategy::kBudgetSplit: {
@@ -62,6 +64,11 @@ void MultidimPerturber::PerturbStream(std::span<const double> truth,
   const size_t dims = impl_->dimensions();
   CAPP_CHECK(truth.size() == dims * slots);
   out.resize(dims * slots);
+  if (dims == 1) {
+    // Bit-identical to the per-slot loop below (ProcessChunk's contract).
+    impl_->dimension(0).ProcessChunk(truth, out, rng_);
+    return;
+  }
   x_.resize(dims);
   for (size_t t = 0; t < slots; ++t) {
     for (size_t k = 0; k < dims; ++k) x_[k] = truth[k * slots + t];

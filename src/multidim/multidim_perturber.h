@@ -1,6 +1,7 @@
 // MultidimPerturber: the engine-facing adapter that runs a whole
 // d-dimensional user stream through one of the multi-dimensional
-// strategies (multidim/budget_split.h, multidim/sample_split.h).
+// strategies (multidim/budget_split.h, multidim/sample_split.h): the
+// fleet's one device pipeline for every d >= 1.
 //
 // The strategies themselves are slot-at-a-time vector perturbers
 // (MultiDimPerturber::ProcessVector); the fleet works in dim-major runs
@@ -8,9 +9,9 @@
 // wire layout. This adapter owns the gather/scatter between the two
 // shapes plus the per-user RNG, so a fleet worker's per-user path is
 // ResetForUser + one PerturbStream call, mirroring UserSession's
-// ResetForUser + ReportChunk on the scalar path. Like UserSession, one
-// adapter is pooled per worker chunk and reseeded per user, so the
-// per-user path is allocation-free after the first user.
+// ResetForUser + ReportChunk. Like UserSession, one adapter is pooled per
+// worker chunk and reseeded per user, so the per-user path constructs no
+// perturber after the first user.
 #ifndef CAPP_MULTIDIM_MULTIDIM_PERTURBER_H_
 #define CAPP_MULTIDIM_MULTIDIM_PERTURBER_H_
 
@@ -40,20 +41,26 @@ std::string_view MultidimStrategyName(MultidimStrategy strategy);
 /// Parses a display name back into a strategy.
 Result<MultidimStrategy> ParseMultidimStrategy(std::string_view name);
 
+/// Budget one (attribute, slot) publication spends: eps / (d * w) under
+/// budget split, eps / w under sample split (its one uploading attribute
+/// spends the whole slot budget). At d = 1 the two coincide bit for bit.
+double PerSlotBudget(double epsilon, int window, size_t dims,
+                     MultidimStrategy strategy);
+
 /// Runs d-dimensional user streams through a multi-dim strategy.
 class MultidimPerturber {
  public:
   /// `options.epsilon` is the total window budget across all dimensions;
-  /// `inner` is the scalar algorithm each dimension runs. dims must be
-  /// >= 2: one-dimensional streams take the scalar UserSession path.
+  /// `inner` is the scalar algorithm each dimension runs and must be
+  /// online (the sampling kinds are refused). dims must be >= 1; at
+  /// dims = 1 both strategies are `inner` itself (budget split spends
+  /// eps / 1, sample split's one dimension uploads every slot), and report
+  /// for finite inputs exactly what a UserSession running it reports.
   static Result<MultidimPerturber> Create(size_t dims,
                                           MultidimStrategy strategy,
                                           PerturberOptions options,
                                           AlgorithmKind inner);
 
-  /// Strategy display name, e.g. "sw-bs".
-  std::string_view name() const { return impl_->name(); }
-  size_t dimensions() const { return impl_->dimensions(); }
   int publication_smoothing_window() const {
     return impl_->publication_smoothing_window();
   }
@@ -65,7 +72,9 @@ class MultidimPerturber {
   /// Perturbs one user's whole stream. `truth` and `out` are dim-major
   /// (dims * slots doubles; dimension k's run at [k * slots, (k+1) *
   /// slots)); `out` is resized. Internally each slot's d-vector is
-  /// gathered, perturbed via the strategy, and scattered back.
+  /// gathered, perturbed via the strategy, and scattered back. With one
+  /// dimension that slot order is the dimension's own, so the whole run
+  /// goes through the inner perturber's batched ProcessChunk instead.
   void PerturbStream(std::span<const double> truth, size_t slots,
                      std::vector<double>& out);
 

@@ -6,19 +6,12 @@ namespace capp {
 
 Result<std::unique_ptr<SampleSplitPerturber>> SampleSplitPerturber::Create(
     size_t dimensions, PerturberOptions options, AlgorithmKind inner) {
-  if (dimensions == 0) {
-    return Status::InvalidArgument("dimensions must be >= 1");
-  }
   CAPP_RETURN_IF_ERROR(ValidatePerturberOptions(options));
   // Each inner perturber keeps the full window budget: it uploads only on
   // its own slots, which occur once every `dimensions` slots, so the
   // combined ledger still sums to eps per window.
-  std::vector<std::unique_ptr<StreamPerturber>> inners;
-  inners.reserve(dimensions);
-  for (size_t d = 0; d < dimensions; ++d) {
-    CAPP_ASSIGN_OR_RETURN(auto p, CreatePerturber(inner, options));
-    inners.push_back(std::move(p));
-  }
+  CAPP_ASSIGN_OR_RETURN(auto inners,
+                        CreateDimensionPerturbers(dimensions, inner, options));
   std::string name = std::string(AlgorithmKindName(inner)) + "-ss";
   return std::unique_ptr<SampleSplitPerturber>(
       new SampleSplitPerturber(std::move(inners), std::move(name)));
@@ -45,7 +38,7 @@ std::vector<double> SampleSplitPerturber::ProcessVector(
 }
 
 void SampleSplitPerturber::Reset() {
-  for (auto& p : inner_) p->Reset();
+  MultiDimPerturber::Reset();
   std::fill(last_report_.begin(), last_report_.end(), 0.5);
   slot_ = 0;
 }

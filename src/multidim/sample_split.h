@@ -25,11 +25,6 @@ class SampleSplitPerturber final : public MultiDimPerturber {
       size_t dimensions, PerturberOptions options,
       AlgorithmKind inner = AlgorithmKind::kSwDirect);
 
-  std::string_view name() const override { return name_; }
-  size_t dimensions() const override { return inner_.size(); }
-  int publication_smoothing_window() const override {
-    return inner_.front()->publication_smoothing_window();
-  }
   std::vector<double> ProcessVector(const std::vector<double>& x,
                                     Rng& rng) override;
   void Reset() override;
@@ -38,11 +33,9 @@ class SampleSplitPerturber final : public MultiDimPerturber {
  private:
   SampleSplitPerturber(std::vector<std::unique_ptr<StreamPerturber>> inner,
                        std::string name)
-      : inner_(std::move(inner)), name_(std::move(name)),
+      : MultiDimPerturber(std::move(inner), std::move(name)),
         last_report_(inner_.size(), 0.5) {}
 
-  std::vector<std::unique_ptr<StreamPerturber>> inner_;
-  std::string name_;
   std::vector<double> last_report_;
   size_t slot_ = 0;
   WEventAccountant* accountant_ = nullptr;

@@ -431,8 +431,9 @@ uint64_t ScalarOracleDigest(const EngineConfig& config,
   uint64_t digest = 0;
   for (uint64_t uid = 0; uid < config.num_users; ++uid) {
     Rng signal_rng(UserStreamSeed(config.seed, uid, 0));
-    const std::vector<double> truth =
-        GenerateUserSignal(config.signal, config.num_slots, signal_rng);
+    std::vector<double> truth;
+    GenerateUserSignalInto(config.signal, config.num_slots, signal_rng,
+                           truth);
     auto session =
         UserSession::Create(uid, config.algorithm,
                             {config.epsilon, config.window},
@@ -452,37 +453,50 @@ uint64_t ScalarOracleDigest(const EngineConfig& config,
   return digest;
 }
 
+// Every workload family and both strategy labels: at d = 1 the fleet's
+// one device pipeline (MultidimPerturber's one-dimension case) must equal
+// the per-slot UserSession oracle whichever strategy the config names.
 TEST(FleetBatchTest, DigestMatchesScalarOracleAndIsThreadInvariant) {
   for (AlgorithmKind kind :
        {AlgorithmKind::kCapp, AlgorithmKind::kSwDirect, AlgorithmKind::kIpp,
         AlgorithmKind::kBaSw}) {
-    SCOPED_TRACE(AlgorithmKindName(kind));
-    EngineConfig config;
-    config.algorithm = kind;
-    config.epsilon = 1.0;
-    config.window = 10;
-    config.num_users = 200;
-    config.num_slots = 30;
-    config.chunk_size = 32;
-    config.seed = 2025;
-    config.signal = SignalKind::kSinusoid;
-    config.keep_streams = false;
+    for (SignalKind signal :
+         {SignalKind::kConstant, SignalKind::kSinusoid, SignalKind::kAr1,
+          SignalKind::kRandomWalk, SignalKind::kPiecewise}) {
+      for (MultidimStrategy strategy : {MultidimStrategy::kBudgetSplit,
+                                        MultidimStrategy::kSampleSplit}) {
+        SCOPED_TRACE(AlgorithmKindName(kind));
+        SCOPED_TRACE(SignalKindName(signal));
+        SCOPED_TRACE(MultidimStrategyName(strategy));
+        EngineConfig config;
+        config.algorithm = kind;
+        config.epsilon = 1.0;
+        config.window = 10;
+        config.num_users = 200;
+        config.num_slots = 30;
+        config.chunk_size = 32;
+        config.seed = 2025;
+        config.signal = signal;
+        config.multidim_strategy = strategy;
+        config.keep_streams = false;
 
-    uint64_t oracle = 0;
-    bool have_oracle = false;
-    for (int threads : {1, 4, 8}) {
-      SCOPED_TRACE(threads);
-      config.num_threads = threads;
-      auto fleet = Fleet::Create(config);
-      ASSERT_TRUE(fleet.ok());
-      if (!have_oracle) {
-        oracle = ScalarOracleDigest(config, fleet->smoothing_window());
-        have_oracle = true;
+        uint64_t oracle = 0;
+        bool have_oracle = false;
+        for (int threads : {1, 4, 8}) {
+          SCOPED_TRACE(threads);
+          config.num_threads = threads;
+          auto fleet = Fleet::Create(config);
+          ASSERT_TRUE(fleet.ok());
+          if (!have_oracle) {
+            oracle = ScalarOracleDigest(config, fleet->smoothing_window());
+            have_oracle = true;
+          }
+          auto stats = fleet->Run();
+          ASSERT_TRUE(stats.ok());
+          EXPECT_EQ(stats->stream_digest, oracle)
+              << "batched fleet diverged from the scalar oracle";
+        }
       }
-      auto stats = fleet->Run();
-      ASSERT_TRUE(stats.ok());
-      EXPECT_EQ(stats->stream_digest, oracle)
-          << "batched fleet diverged from the scalar oracle";
     }
   }
 }

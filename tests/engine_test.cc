@@ -814,9 +814,16 @@ TEST(EngineConfigTest, ValidationCatchesBadKnobs) {
 }
 
 TEST(FleetTest, RejectsSamplingAlgorithms) {
-  EngineConfig config;
-  config.algorithm = AlgorithmKind::kCappS;
-  EXPECT_FALSE(Fleet::Create(config).ok());
+  for (size_t dims : {size_t{1}, size_t{4}}) {
+    for (MultidimStrategy strategy : {MultidimStrategy::kBudgetSplit,
+                                      MultidimStrategy::kSampleSplit}) {
+      EngineConfig config;
+      config.algorithm = AlgorithmKind::kCappS;
+      config.dims = dims;
+      config.multidim_strategy = strategy;
+      EXPECT_FALSE(Fleet::Create(config).ok()) << dims;
+    }
+  }
 }
 
 // ---------------------------------------------------- fleet determinism ----

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include "core/rng.h"
+#include "core/stream_digest.h"
 #include "data/datasets.h"
 #include "engine/engine_config.h"
 #include "engine/fleet.h"
@@ -17,6 +18,7 @@
 #include "multidim/multidim_perturber.h"
 #include "multidim/sample_split.h"
 #include "stream/accountant.h"
+#include "stream/session.h"
 #include "stream/smoothing.h"
 
 namespace capp {
@@ -128,15 +130,72 @@ TEST(SampleSplitTest, ResetRestartsRoundRobin) {
 
 // ------------------------------------------- engine adapter + equivalence ----
 
-TEST(MultidimPerturberTest, RejectsScalarDimensionality) {
-  // dims < 2 takes the scalar UserSession path; the adapter refuses it so
-  // the two paths can never silently disagree about who owns d = 1.
+TEST(MultidimPerturberTest, RejectsZeroDimensions) {
   EXPECT_FALSE(MultidimPerturber::Create(0, MultidimStrategy::kBudgetSplit,
                                          {1.0, 10}, AlgorithmKind::kCapp)
                    .ok());
-  EXPECT_FALSE(MultidimPerturber::Create(1, MultidimStrategy::kBudgetSplit,
-                                         {1.0, 10}, AlgorithmKind::kCapp)
-                   .ok());
+}
+
+// The sampling kinds perturb whole subsequences and have no per-slot
+// path: every strategy constructor must refuse them up front rather than
+// abort at the first perturbation.
+TEST(MultidimPerturberTest, RefusesOfflineInnerAlgorithms) {
+  for (AlgorithmKind inner : {AlgorithmKind::kSampling, AlgorithmKind::kAppS,
+                              AlgorithmKind::kCappS}) {
+    SCOPED_TRACE(AlgorithmKindName(inner));
+    EXPECT_FALSE(BudgetSplitPerturber::Create(4, {1.0, 10}, inner).ok());
+    EXPECT_FALSE(SampleSplitPerturber::Create(4, {1.0, 10}, inner).ok());
+    for (MultidimStrategy strategy : {MultidimStrategy::kBudgetSplit,
+                                      MultidimStrategy::kSampleSplit}) {
+      for (size_t dims : {size_t{1}, size_t{4}}) {
+        auto created =
+            MultidimPerturber::Create(dims, strategy, {1.0, 10}, inner);
+        ASSERT_FALSE(created.ok());
+        EXPECT_EQ(created.status().code(), StatusCode::kInvalidArgument);
+      }
+    }
+  }
+}
+
+// d = 1 is the one-dimension case of the device pipeline: for every
+// online algorithm and either strategy label, a pooled one-dimensional
+// MultidimPerturber reports exactly what a UserSession reports, bit for
+// bit, user after user.
+TEST(MultidimPerturberTest, OneDimensionMatchesUserSessionBitForBit) {
+  constexpr size_t kSlots = 40;
+  for (AlgorithmKind kind :
+       {AlgorithmKind::kSwDirect, AlgorithmKind::kIpp, AlgorithmKind::kApp,
+        AlgorithmKind::kCapp, AlgorithmKind::kBaSw, AlgorithmKind::kTopl}) {
+    for (MultidimStrategy strategy : {MultidimStrategy::kBudgetSplit,
+                                      MultidimStrategy::kSampleSplit}) {
+      SCOPED_TRACE(AlgorithmKindName(kind));
+      SCOPED_TRACE(MultidimStrategyName(strategy));
+      const PerturberOptions options{1.5, 8};
+      auto perturber = MultidimPerturber::Create(1, strategy, options, kind);
+      ASSERT_TRUE(perturber.ok()) << perturber.status().ToString();
+      std::vector<double> reports;
+      for (uint64_t uid = 0; uid < 4; ++uid) {
+        SCOPED_TRACE(uid);
+        // Finite inputs, out-of-domain ones included (both paths clamp).
+        Rng input_rng(900 + uid);
+        std::vector<double> truth(kSlots);
+        for (double& x : truth) x = input_rng.Uniform(-0.25, 1.25);
+        const uint64_t seed = UserStreamSeed(31, uid, 1);
+        perturber->ResetForUser(seed);
+        perturber->PerturbStream(truth, kSlots, reports);
+        auto session = UserSession::Create(uid, kind, options, seed);
+        ASSERT_TRUE(session.ok());
+        std::vector<double> expected(kSlots);
+        session->ReportChunk(truth, expected);
+        ASSERT_EQ(reports.size(), kSlots);
+        for (size_t t = 0; t < kSlots; ++t) {
+          EXPECT_EQ(std::bit_cast<uint64_t>(reports[t]),
+                    std::bit_cast<uint64_t>(expected[t]))
+              << "slot " << t;
+        }
+      }
+    }
+  }
 }
 
 TEST(MultidimPerturberTest, StrategyNamesRoundTrip) {
@@ -291,33 +350,43 @@ TEST(MultidimEngineTest, FleetMatchesOfflineOraclePerAttribute) {
   }
 }
 
-// d-dimensional synthesis invariants: the d = 1 slice of the correlated
-// sinusoid path is bit-identical to the scalar generator (same draws in
-// the same order), and d > 1 attributes are distinct but share the
-// user's phase.
-TEST(MultidimEngineTest, MultiSignalD1SliceMatchesScalarGenerator) {
+// The fleet's synthesis, pinned: UserStreamDigest(0, ...) of every
+// workload family at d = 1 and d = 3 from a fixed RNG state, through both
+// generator entry points. Every committed fleet digest depends on these
+// streams and their RNG draw order. d > 1 sinusoid attributes are also
+// distinct but stay in range.
+TEST(MultidimEngineTest, SignalGeneratorIsPinned) {
+  struct Pin {
+    SignalKind kind;
+    uint64_t d1;
+    uint64_t d3;
+  };
+  const Pin pins[] = {
+      {SignalKind::kConstant, 0xbd86d98908aa99e3, 0x5b8a479e166a2b08},
+      {SignalKind::kSinusoid, 0x15beeca027b46ca8, 0xb8dae28f7a437f7e},
+      {SignalKind::kAr1, 0x9c94e95420f1937e, 0xb409e7080a6444bc},
+      {SignalKind::kRandomWalk, 0x36d436e7dc32a46c, 0xce4a871ece4483bd},
+      {SignalKind::kPiecewise, 0x67bdde593b6b675b, 0x0bd7e2d7b0f38dff},
+  };
   const size_t slots = 48;
-  for (SignalKind kind : {SignalKind::kSinusoid, SignalKind::kPiecewise,
-                          SignalKind::kRandomWalk}) {
-    SCOPED_TRACE(static_cast<int>(kind));
-    Rng scalar_rng(4242);
-    std::vector<double> scalar;
-    GenerateUserSignalInto(kind, slots, scalar_rng, scalar);
-    Rng multi_rng(4242);
-    std::vector<double> multi;
-    GenerateUserSignalMultiInto(kind, 1, slots, multi_rng, multi);
-    ASSERT_EQ(multi.size(), scalar.size());
-    for (size_t t = 0; t < slots; ++t) {
-      EXPECT_EQ(std::bit_cast<uint64_t>(multi[t]),
-                std::bit_cast<uint64_t>(scalar[t]))
-          << "slot " << t;
+  for (const Pin& pin : pins) {
+    SCOPED_TRACE(SignalKindName(pin.kind));
+    for (size_t dims : {size_t{1}, size_t{3}}) {
+      Rng rng(4242);
+      std::vector<double> out;
+      GenerateUserSignalMultiInto(pin.kind, dims, slots, rng, out);
+      ASSERT_EQ(out.size(), dims * slots);
+      EXPECT_EQ(UserStreamDigest(0, out), dims == 1 ? pin.d1 : pin.d3)
+          << "dims " << dims;
     }
+    Rng rng(4242);
+    std::vector<double> scalar;
+    GenerateUserSignalInto(pin.kind, slots, rng, scalar);
+    EXPECT_EQ(UserStreamDigest(0, scalar), pin.d1);
   }
-  // d = 3 sinusoid: dims differ (phase-shifted) but stay in range.
   Rng rng(4242);
   std::vector<double> dims3;
   GenerateUserSignalMultiInto(SignalKind::kSinusoid, 3, slots, rng, dims3);
-  ASSERT_EQ(dims3.size(), 3 * slots);
   const std::vector<double> d0(dims3.begin(), dims3.begin() + slots);
   const std::vector<double> d1(dims3.begin() + slots,
                                dims3.begin() + 2 * slots);
@@ -326,6 +395,33 @@ TEST(MultidimEngineTest, MultiSignalD1SliceMatchesScalarGenerator) {
     EXPECT_GE(v, 0.0);
     EXPECT_LE(v, 1.0);
   }
+}
+
+// The config and handshake fingerprints stamped into WAL segments,
+// checkpoints and socket handshakes, pinned: d = 1 ignores the strategy
+// (its fingerprint predates dimensions), d > 1 covers dims and strategy.
+TEST(MultidimEngineTest, FingerprintsArePinned) {
+  for (MultidimStrategy strategy : {MultidimStrategy::kBudgetSplit,
+                                    MultidimStrategy::kSampleSplit}) {
+    SCOPED_TRACE(MultidimStrategyName(strategy));
+    EngineConfig config;
+    config.multidim_strategy = strategy;
+    EXPECT_EQ(EngineConfigFingerprint(config), 0xe67a1b13ba49b2d0u);
+    EXPECT_EQ(StreamHandshakeFingerprint(1.0, 10, 1, strategy),
+              0x7531b2b3dac147f2u);
+  }
+  EngineConfig config;
+  config.dims = 4;
+  config.multidim_strategy = MultidimStrategy::kBudgetSplit;
+  EXPECT_EQ(EngineConfigFingerprint(config), 0x4293936a9cde47d4u);
+  config.multidim_strategy = MultidimStrategy::kSampleSplit;
+  EXPECT_EQ(EngineConfigFingerprint(config), 0x618e5a73a7cd91f5u);
+  EXPECT_EQ(StreamHandshakeFingerprint(1.0, 10, 4,
+                                       MultidimStrategy::kBudgetSplit),
+            0x8857ec8ed3005576u);
+  EXPECT_EQ(StreamHandshakeFingerprint(1.0, 10, 4,
+                                       MultidimStrategy::kSampleSplit),
+            0xa752b397ddef9f97u);
 }
 
 TEST(MultiDimSinusoidTest, ShapeAndRange) {

@@ -14,11 +14,12 @@ prints a GitHub Actions ::warning:: annotation per metric. Exit status is
 0 unless --strict is given, because absolute throughput is machine-
 dependent (the committed baseline records one reference container; CI
 runners differ) -- the diff exists to make regressions loud, not to gate
-merges on runner lottery. The determinism digest is also compared when
-the scenario matches; a mismatch warns rather than fails, because the
-sinusoid workload goes through libm sin/cos and digests are only pinned
-per libm build (in-run thread-count invariance is enforced by the bench
-binary itself).
+merges on runner lottery. The determinism digests -- the top-level one
+and every row's (rows pair up by key, as for throughput) -- are also
+compared when the scenario matches; a mismatch warns rather than fails,
+because the sinusoid workload goes through libm sin/cos and digests are
+only pinned per libm build (in-run thread-count invariance is enforced by
+the bench binary itself).
 
 A missing file, unparseable JSON, or a result that is not a bench object
 (no "bench" key) is a usage/setup error: it prints one line naming the
@@ -32,10 +33,11 @@ import sys
 SCENARIO_KEYS = ("bench", "algorithm", "signal", "users", "slots", "seed")
 
 
-def numeric_leaves(obj, prefix=""):
+def leaves(obj, prefix=""):
+    """Yields (dotted path, value) for every scalar leaf of a bench result."""
     if isinstance(obj, dict):
         for key, value in obj.items():
-            yield from numeric_leaves(value, f"{prefix}{key}.")
+            yield from leaves(value, f"{prefix}{key}.")
     elif isinstance(obj, list):
         # Rows pair up by their "name" field, never by position: a row
         # inserted mid-list (say, a new telemetry_on trial) must not shift
@@ -44,9 +46,22 @@ def numeric_leaves(obj, prefix=""):
         for index, value in enumerate(obj):
             name = value.get("name") if isinstance(value, dict) else None
             key = name if isinstance(name, str) and name else str(index)
-            yield from numeric_leaves(value, f"{prefix}{key}.")
-    elif isinstance(obj, (int, float)) and not isinstance(obj, bool):
-        yield prefix[:-1], float(obj)
+            yield from leaves(value, f"{prefix}{key}.")
+    else:
+        yield prefix[:-1], obj
+
+
+def numeric_leaves(obj):
+    for path, value in leaves(obj):
+        if isinstance(value, (int, float)) and not isinstance(value, bool):
+            yield path, float(value)
+
+
+def digest_leaves(obj):
+    """Every determinism digest: the top-level one and each row's."""
+    for path, value in leaves(obj):
+        if path.split(".")[-1] == "digest" and isinstance(value, str):
+            yield path, value
 
 
 class BenchDiffError(Exception):
@@ -150,17 +165,19 @@ def diff(baseline, currents, warn_drop, out=print):
                 "thread(s), so its speedup measures noise, not scaling"
             )
 
-    if "digest" in baseline:
-        if baseline["digest"] != current.get("digest"):
+    current_digests = dict(digest_leaves(current))
+    for name, base_digest in sorted(digest_leaves(baseline)):
+        cur_digest = current_digests.get(name)
+        if cur_digest != base_digest:
             out(
-                f"::warning::determinism digest differs from baseline: "
-                f"{baseline['digest']} -> {current.get('digest')}. Expected "
-                "only from a different libm build or a deliberate "
+                f"::warning::determinism digest {name} differs from "
+                f"baseline: {base_digest} -> {cur_digest}. Expected only "
+                "from a different libm build or a deliberate "
                 "published-value change (refresh the baseline and document "
                 "the bump in that case)."
             )
         else:
-            out(f"digest: {baseline['digest']} (matches baseline)")
+            out(f"{name}: {base_digest} (matches baseline)")
     return regressions
 
 
@@ -241,6 +258,48 @@ def self_test():
         dict(numeric_leaves({"rows": [{"reports_per_sec": 7.0}]})).get(
             "rows.0.reports_per_sec"
         ) == 7.0,
+    )
+
+    # Row-level digests (BENCH_multidim_throughput.json keeps one per
+    # (dims, strategy) row) are compared row by row, paired by key; a
+    # mismatch warns like the top-level digest and never fails.
+    rowed = {
+        "bench": "t",
+        "users": 10,
+        "slots": 2,
+        "seed": 1,
+        "d1": {"name": "d1", "reports_per_sec": 100.0, "digest": "aaa"},
+        "d4": {"name": "d4", "reports_per_sec": 100.0, "digest": "bbb"},
+    }
+    lines = []
+    moved = {**rowed, "d4": {**rowed["d4"], "digest": "ccc"}}
+    regressions = diff(rowed, [moved], 10.0, lines.append)
+    check(
+        "a moved row digest warns, naming its row",
+        any("::warning::" in line and "d4.digest" in line for line in lines)
+        and not any("::warning::" in line and "d1.digest" in line
+                    for line in lines),
+    )
+    check("a moved row digest is not a regression", regressions == 0)
+    lines = []
+    diff(rowed, [rowed], 10.0, lines.append)
+    check(
+        "matching row digests stay quiet",
+        not any("::warning::" in line for line in lines)
+        and sum("(matches baseline)" in line for line in lines) == 2,
+    )
+    lines = []
+    diff(
+        {**listed_base, "trials": [{"name": "single", "digest": "aaa"}]},
+        [{**listed_base,
+          "trials": [{"name": "extra", "digest": "zzz"},
+                     {"name": "single", "digest": "aaa"}]}],
+        10.0,
+        lines.append,
+    )
+    check(
+        "listed row digests pair by name",
+        not any("::warning::" in line for line in lines),
     )
 
     speedy = {

@@ -9,10 +9,10 @@
 //   # terminal 2: the fleet
 //   $ ./fleet_simulation 200000 24 --connect=/tmp/capp.sock
 //
-//   # or across hosts (port 0 picks a free port, printed on startup):
+//   # or across hosts (port 0 picks a free port, printed on startup;
+//   # `host` is the collector's address):
 //   $ ./collector_server --tcp=0.0.0.0:7433 --sessions=4
-//   $ ./fleet_simulation 200000 24 --connect-tcp=collector:7433 \
-//         --connect-streams=4
+//   $ ./fleet_simulation 200000 24 --connect-tcp=host:7433 --connect-streams=4
 //
 // Every connection opens with the versioned handshake of
 // transport/handshake.h: the server refuses peers with a mismatched
@@ -318,13 +318,9 @@ int main(int argc, char** argv) {
   collector_options.keep_streams = false;
   collector_options.dims = dims;
   collector_options.single_writer = owned_shards;
-  // Per-(attribute, slot) budget the fleet perturbed with: budget split
-  // divides the window budget across dimensions, sample split (and d=1)
-  // spends it all on each upload.
+  // Per-(attribute, slot) budget the fleet perturbed with.
   const double epsilon_per_slot =
-      dims > 1 && multidim_strategy == capp::MultidimStrategy::kBudgetSplit
-          ? epsilon / (static_cast<double>(dims) * window)
-          : epsilon / window;
+      capp::PerSlotBudget(epsilon, window, dims, multidim_strategy);
   if (analytics) {
     auto histogram = capp::StreamingAnalyzer::CollectorHistogramOptions(
         epsilon_per_slot, kAnalyticsHistogramBuckets);
@@ -357,12 +353,8 @@ int main(int argc, char** argv) {
         std::bit_cast<uint64_t>(epsilon),
         static_cast<uint64_t>(window),
     };
-    if (dims > 1) {
-      // Appended only for multi-dimensional servers, so every existing
-      // d=1 WAL directory keeps its fingerprint.
-      fingerprint_words.push_back(dims);
-      fingerprint_words.push_back(static_cast<uint64_t>(multidim_strategy));
-    }
+    capp::AppendDimsFingerprintWords(dims, multidim_strategy,
+                                     fingerprint_words);
     durable_options.wal.fingerprint =
         capp::WalFingerprint(fingerprint_words);
     auto created = capp::DurableCollector::Create(&*collector,
