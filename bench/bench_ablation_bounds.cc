@@ -8,8 +8,8 @@
 
 #include "core/check.h"
 
-#include "algorithms/capp.h"
 #include "algorithms/clip_bounds.h"
+#include "algorithms/pp.h"
 #include "harness/experiments.h"
 #include "harness/flags.h"
 #include "harness/table.h"
@@ -19,8 +19,9 @@ namespace {
 
 PerturberFactory CappFactory(double eps, int w, double delta) {
   return [eps, w, delta]() -> Result<std::unique_ptr<StreamPerturber>> {
-    CAPP_ASSIGN_OR_RETURN(auto p,
-                          Capp::Create(CappOptions{{eps, w}, delta}));
+    CAPP_ASSIGN_OR_RETURN(
+        auto p, PpPerturber::Create(PpKind::kCapp, {eps, w},
+                                    MechanismKind::kSquareWave, delta));
     return std::unique_ptr<StreamPerturber>(std::move(p));
   };
 }

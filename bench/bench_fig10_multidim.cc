@@ -10,24 +10,16 @@
 #include "harness/experiments.h"
 #include "harness/flags.h"
 #include "harness/table.h"
-#include "multidim/budget_split.h"
-#include "multidim/sample_split.h"
+#include "multidim/multidim_perturber.h"
 
 namespace capp::bench {
 namespace {
 
-MultiDimPerturberFactory Factory(bool budget_split, AlgorithmKind inner,
-                                 size_t d, double eps, int w) {
-  return [budget_split, inner, d, eps,
-          w]() -> Result<std::unique_ptr<MultiDimPerturber>> {
-    if (budget_split) {
-      CAPP_ASSIGN_OR_RETURN(
-          auto p, BudgetSplitPerturber::Create(d, {eps, w}, inner));
-      return std::unique_ptr<MultiDimPerturber>(std::move(p));
-    }
-    CAPP_ASSIGN_OR_RETURN(auto p,
-                          SampleSplitPerturber::Create(d, {eps, w}, inner));
-    return std::unique_ptr<MultiDimPerturber>(std::move(p));
+MultidimPerturberFactory Factory(MultidimStrategy strategy,
+                                 AlgorithmKind inner, size_t d, double eps,
+                                 int w) {
+  return [strategy, inner, d, eps, w] {
+    return MultidimPerturber::Create(d, strategy, {eps, w}, inner);
   };
 }
 
@@ -49,11 +41,12 @@ int Run(int argc, char** argv) {
         const uint64_t seed =
             CellSeed(flags.seed, "sin" + std::to_string(d), kW, eps, kQ);
         std::vector<std::string> row = {FormatFixed(eps, 1)};
-        for (bool budget_split : {true, false}) {
+        for (MultidimStrategy strategy : {MultidimStrategy::kBudgetSplit,
+                                          MultidimStrategy::kSampleSplit}) {
           for (AlgorithmKind inner : kInner) {
             const EvalOptions options = MakeEvalOptions(flags, kQ, seed);
             auto report = EvaluateMultiDimUtility(
-                dims, Factory(budget_split, inner, d, eps, kW), options);
+                dims, Factory(strategy, inner, d, eps, kW), options);
             CAPP_CHECK(report.ok());
             row.push_back(FormatSci(metric == std::string("MSE")
                                         ? report->mean_mse

@@ -9,7 +9,7 @@
 #include <cstdio>
 #include <vector>
 
-#include "algorithms/capp.h"
+#include "algorithms/pp.h"
 #include "analysis/metrics.h"
 #include "core/math_utils.h"
 #include "core/rng.h"
@@ -27,7 +27,7 @@ int main() {
   options.epsilon = 1.0;
   options.window = 10;
 
-  auto perturber = capp::Capp::Create(options);
+  auto perturber = capp::PpPerturber::Create(capp::PpKind::kCapp, options);
   if (!perturber.ok()) {
     std::fprintf(stderr, "setup failed: %s\n",
                  perturber.status().ToString().c_str());

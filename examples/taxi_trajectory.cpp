@@ -13,8 +13,7 @@
 #include "core/math_utils.h"
 #include "core/rng.h"
 #include "data/generators.h"
-#include "multidim/budget_split.h"
-#include "multidim/sample_split.h"
+#include "multidim/multidim_perturber.h"
 #include "stream/accountant.h"
 #include "stream/smoothing.h"
 
@@ -39,18 +38,18 @@ Trajectory SimulateTrajectory(size_t n, uint64_t seed) {
   return out;
 }
 
-void RunStrategy(capp::MultiDimPerturber& perturber, const Trajectory& truth,
+void RunStrategy(capp::MultidimPerturber& perturber, const Trajectory& truth,
                  double epsilon, int window) {
   capp::WEventAccountant ledger;
   perturber.AttachAccountant(&ledger);
-  capp::Rng rng(4711);
-  std::vector<double> out_lat, out_lon;
-  for (size_t t = 0; t < truth.lat.size(); ++t) {
-    const std::vector<double> reports =
-        perturber.ProcessVector({truth.lat[t], truth.lon[t]}, rng);
-    out_lat.push_back(reports[0]);
-    out_lon.push_back(reports[1]);
-  }
+  perturber.ResetForUser(4711);
+  const size_t n = truth.lat.size();
+  std::vector<double> stream = truth.lat;  // dim-major: lat, then lon
+  stream.insert(stream.end(), truth.lon.begin(), truth.lon.end());
+  std::vector<double> reports;
+  perturber.PerturbStream(stream, n, reports);
+  const std::vector<double> out_lat(reports.begin(), reports.begin() + n);
+  const std::vector<double> out_lon(reports.begin() + n, reports.end());
   const std::vector<double> pub_lat = capp::Sma3(out_lat);
   const std::vector<double> pub_lon = capp::Sma3(out_lon);
   const double mse = (capp::Mse(pub_lat, truth.lat) +
@@ -79,14 +78,14 @@ int main(int argc, char** argv) {
 
   for (capp::AlgorithmKind inner :
        {capp::AlgorithmKind::kSwDirect, capp::AlgorithmKind::kApp}) {
-    auto bs = capp::BudgetSplitPerturber::Create(2, {epsilon, window},
-                                                 inner);
-    if (!bs.ok()) return 1;
-    RunStrategy(**bs, truth, epsilon, window);
-    auto ss = capp::SampleSplitPerturber::Create(2, {epsilon, window},
-                                                 inner);
-    if (!ss.ok()) return 1;
-    RunStrategy(**ss, truth, epsilon, window);
+    for (capp::MultidimStrategy strategy :
+         {capp::MultidimStrategy::kBudgetSplit,
+          capp::MultidimStrategy::kSampleSplit}) {
+      auto perturber = capp::MultidimPerturber::Create(
+          2, strategy, {epsilon, window}, inner);
+      if (!perturber.ok()) return 1;
+      RunStrategy(*perturber, truth, epsilon, window);
+    }
   }
   std::printf("\n(budget-split perturbs both coordinates each step at "
               "eps/(2w); sample-split alternates coordinates at eps/w)\n");

@@ -1,10 +1,8 @@
 #include "algorithms/factory.h"
 
-#include "algorithms/app.h"
 #include "algorithms/ba_sw.h"
-#include "algorithms/capp.h"
 #include "algorithms/clip_bounds.h"
-#include "algorithms/ipp.h"
+#include "algorithms/pp.h"
 #include "algorithms/sampling.h"
 #include "algorithms/sw_direct.h"
 #include "algorithms/topl.h"
@@ -46,93 +44,67 @@ Result<AlgorithmKind> ParseAlgorithmKind(std::string_view name) {
   return Status::NotFound("unknown algorithm: " + std::string(name));
 }
 
+namespace {
+
+template <typename T>
+Result<std::unique_ptr<StreamPerturber>> AsStreamPerturber(
+    Result<std::unique_ptr<T>> created) {
+  if (!created.ok()) return created.status();
+  return std::unique_ptr<StreamPerturber>(std::move(created).value());
+}
+
+}  // namespace
+
 Result<std::unique_ptr<StreamPerturber>> CreatePerturber(
     AlgorithmKind kind, PerturberOptions options) {
-  switch (kind) {
-    case AlgorithmKind::kSwDirect: {
-      CAPP_ASSIGN_OR_RETURN(auto p, MechanismDirect::Create(options));
-      return std::unique_ptr<StreamPerturber>(std::move(p));
-    }
-    case AlgorithmKind::kIpp: {
-      CAPP_ASSIGN_OR_RETURN(auto p, Ipp::Create(options));
-      return std::unique_ptr<StreamPerturber>(std::move(p));
-    }
-    case AlgorithmKind::kApp: {
-      CAPP_ASSIGN_OR_RETURN(auto p, App::Create(options));
-      return std::unique_ptr<StreamPerturber>(std::move(p));
-    }
-    case AlgorithmKind::kCapp: {
-      CAPP_ASSIGN_OR_RETURN(auto p, Capp::Create(options));
-      return std::unique_ptr<StreamPerturber>(std::move(p));
-    }
-    case AlgorithmKind::kBaSw: {
-      CAPP_ASSIGN_OR_RETURN(auto p, BaSw::Create(options));
-      return std::unique_ptr<StreamPerturber>(std::move(p));
-    }
-    case AlgorithmKind::kTopl: {
-      CAPP_ASSIGN_OR_RETURN(auto p, Topl::Create(options));
-      return std::unique_ptr<StreamPerturber>(std::move(p));
-    }
-    case AlgorithmKind::kSampling: {
-      CAPP_ASSIGN_OR_RETURN(
-          auto p, PpSampler::Create(SamplingOptions{options, std::nullopt},
-                                    PpKind::kDirect));
-      return std::unique_ptr<StreamPerturber>(std::move(p));
-    }
-    case AlgorithmKind::kAppS: {
-      CAPP_ASSIGN_OR_RETURN(
-          auto p, PpSampler::Create(SamplingOptions{options, std::nullopt},
-                                    PpKind::kApp));
-      return std::unique_ptr<StreamPerturber>(std::move(p));
-    }
-    case AlgorithmKind::kCappS: {
-      CAPP_ASSIGN_OR_RETURN(
-          auto p, PpSampler::Create(SamplingOptions{options, std::nullopt},
-                                    PpKind::kCapp));
-      return std::unique_ptr<StreamPerturber>(std::move(p));
-    }
-  }
-  return Status::InvalidArgument("unknown algorithm kind");
+  return CreatePerturberWithMechanism(kind, options,
+                                      MechanismKind::kSquareWave);
 }
 
 Result<std::unique_ptr<StreamPerturber>> CreatePerturberWithMechanism(
     AlgorithmKind kind, PerturberOptions options, MechanismKind mechanism) {
-  switch (kind) {
-    case AlgorithmKind::kSwDirect: {
-      CAPP_ASSIGN_OR_RETURN(auto p,
-                            MechanismDirect::Create(options, mechanism));
-      return std::unique_ptr<StreamPerturber>(std::move(p));
-    }
-    case AlgorithmKind::kIpp: {
-      CAPP_ASSIGN_OR_RETURN(auto p, Ipp::Create(options, mechanism));
-      return std::unique_ptr<StreamPerturber>(std::move(p));
-    }
-    case AlgorithmKind::kApp: {
-      CAPP_ASSIGN_OR_RETURN(auto p, App::Create(options, mechanism));
-      return std::unique_ptr<StreamPerturber>(std::move(p));
-    }
-    case AlgorithmKind::kCapp: {
-      if (mechanism == MechanismKind::kSquareWave) {
-        return CreatePerturber(kind, options);
-      }
-      // Non-SW CAPP needs an explicit clip interval; the paper gives no
-      // default, so use the proxy selector's recommendation for the
-      // per-slot budget as a reasonable starting interval.
-      CAPP_ASSIGN_OR_RETURN(
-          ClipBounds bounds,
-          SelectClipBoundsProxy(options.epsilon / options.window));
-      CAPP_ASSIGN_OR_RETURN(
-          auto p, Capp::Create(CappOptions{options, bounds.delta},
-                               mechanism));
-      return std::unique_ptr<StreamPerturber>(std::move(p));
-    }
-    default:
-      if (mechanism == MechanismKind::kSquareWave) {
-        return CreatePerturber(kind, options);
-      }
-      return Status::Unimplemented(
-          "only direct/ipp/app/capp support non-SW mechanisms");
+  const bool sw = mechanism == MechanismKind::kSquareWave;
+  if (!sw && kind != AlgorithmKind::kSwDirect && kind != AlgorithmKind::kIpp &&
+      kind != AlgorithmKind::kApp && kind != AlgorithmKind::kCapp) {
+    return Status::Unimplemented(
+        "only direct/ipp/app/capp support non-SW mechanisms");
   }
+  const SamplingOptions sampling{options, std::nullopt};
+  switch (kind) {
+    case AlgorithmKind::kSwDirect:
+      return AsStreamPerturber(MechanismDirect::Create(options, mechanism));
+    case AlgorithmKind::kIpp:
+      return AsStreamPerturber(
+          PpPerturber::Create(PpKind::kIpp, options, mechanism));
+    case AlgorithmKind::kApp:
+      return AsStreamPerturber(
+          PpPerturber::Create(PpKind::kApp, options, mechanism));
+    case AlgorithmKind::kCapp: {
+      std::optional<double> delta;
+      if (!sw) {
+        // Non-SW CAPP needs an explicit clip interval; the paper gives no
+        // default, so use the proxy selector's recommendation for the
+        // per-slot budget as a reasonable starting interval.
+        CAPP_ASSIGN_OR_RETURN(
+            ClipBounds bounds,
+            SelectClipBoundsProxy(options.epsilon / options.window));
+        delta = bounds.delta;
+      }
+      return AsStreamPerturber(
+          PpPerturber::Create(PpKind::kCapp, options, mechanism, delta));
+    }
+    case AlgorithmKind::kBaSw:
+      return AsStreamPerturber(BaSw::Create(options));
+    case AlgorithmKind::kTopl:
+      return AsStreamPerturber(Topl::Create(options));
+    case AlgorithmKind::kSampling:
+      return AsStreamPerturber(PpSampler::Create(sampling, PpKind::kDirect));
+    case AlgorithmKind::kAppS:
+      return AsStreamPerturber(PpSampler::Create(sampling, PpKind::kApp));
+    case AlgorithmKind::kCappS:
+      return AsStreamPerturber(PpSampler::Create(sampling, PpKind::kCapp));
+  }
+  return Status::InvalidArgument("unknown algorithm kind");
 }
 
 }  // namespace capp

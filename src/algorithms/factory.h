@@ -31,14 +31,16 @@ std::string_view AlgorithmKindName(AlgorithmKind kind);
 /// Parses a display name back into an AlgorithmKind.
 Result<AlgorithmKind> ParseAlgorithmKind(std::string_view name);
 
-/// Creates the algorithm with default sub-options. Sampling-based kinds
-/// choose n_s by the Section V criterion at perturbation time.
+/// Creates the algorithm over Square Wave with default sub-options.
+/// Sampling-based kinds choose n_s by the Section V criterion at
+/// perturbation time.
 Result<std::unique_ptr<StreamPerturber>> CreatePerturber(
     AlgorithmKind kind, PerturberOptions options);
 
-/// Variant of the non-sampling parameterized kinds running over an
-/// alternative mechanism (Fig. 9 study). Only kSwDirect, kIpp and kApp
-/// support non-SW mechanisms.
+/// Creates the algorithm over `mechanism` (Fig. 9 study). Only kSwDirect,
+/// kIpp, kApp and kCapp support non-SW mechanisms; CAPP over them takes
+/// its clip widening from SelectClipBoundsProxy (the Eq.-11 selector is
+/// Square-Wave-specific).
 Result<std::unique_ptr<StreamPerturber>> CreatePerturberWithMechanism(
     AlgorithmKind kind, PerturberOptions options, MechanismKind mechanism);
 

@@ -2,10 +2,7 @@
 
 #include <algorithm>
 
-#include "algorithms/app.h"
-#include "algorithms/capp.h"
-#include "algorithms/ipp.h"
-#include "algorithms/sw_direct.h"
+#include "algorithms/factory.h"
 #include "core/check.h"
 #include "core/math_utils.h"
 
@@ -71,33 +68,13 @@ std::vector<double> PpSampler::DoPerturbSequence(std::span<const double> xs,
   PerturberOptions inner_options;
   inner_options.epsilon = sel.epsilon_per_upload;
   inner_options.window = 1;
-  std::unique_ptr<StreamPerturber> pp;
-  switch (inner_) {
-    case PpKind::kDirect: {
-      auto created = MechanismDirect::Create(inner_options);
-      CAPP_CHECK(created.ok());
-      pp = std::move(created).value();
-      break;
-    }
-    case PpKind::kIpp: {
-      auto created = Ipp::Create(inner_options);
-      CAPP_CHECK(created.ok());
-      pp = std::move(created).value();
-      break;
-    }
-    case PpKind::kApp: {
-      auto created = App::Create(inner_options);
-      CAPP_CHECK(created.ok());
-      pp = std::move(created).value();
-      break;
-    }
-    case PpKind::kCapp: {
-      auto created = Capp::Create(inner_options);
-      CAPP_CHECK(created.ok());
-      pp = std::move(created).value();
-      break;
-    }
-  }
+  constexpr AlgorithmKind kAlgorithm[] = {
+      AlgorithmKind::kSwDirect, AlgorithmKind::kIpp, AlgorithmKind::kApp,
+      AlgorithmKind::kCapp};  // indexed by PpKind
+  auto created =
+      CreatePerturber(kAlgorithm[static_cast<int>(inner_)], inner_options);
+  CAPP_CHECK(created.ok());
+  const std::unique_ptr<StreamPerturber> pp = std::move(created).value();
 
   // Perturb each segment's mean, replicate across the segment.
   std::vector<double> out;

@@ -29,18 +29,12 @@
 
 #include "algorithms/ns_selector.h"
 #include "algorithms/perturber.h"
+#include "algorithms/pp.h"
 
 namespace capp {
 
-/// Which perturbation-parameterization algorithm runs over segment means.
-enum class PpKind {
-  kDirect,  ///< "Sampling" baseline: SW on means, no parameterization.
-  kIpp,     ///< IPP-S.
-  kApp,     ///< APP-S.
-  kCapp,    ///< CAPP-S.
-};
-
-/// Short name ("sampling", "ipp-s", "app-s", "capp-s").
+/// Short name of the PP-S variant over `kind` ("sampling", "ipp-s",
+/// "app-s", "capp-s").
 std::string_view PpKindName(PpKind kind);
 
 /// Options specific to PP-S.
@@ -59,6 +53,9 @@ struct SamplingOptions {
 /// false): the segment means need the full query interval.
 class PpSampler final : public StreamPerturber {
  public:
+  /// `inner` runs over the segment means: kDirect is the "Sampling"
+  /// baseline (SW on means, no parameterization), the others IPP-S, APP-S
+  /// and CAPP-S.
   static Result<std::unique_ptr<PpSampler>> Create(SamplingOptions options,
                                                    PpKind inner);
 

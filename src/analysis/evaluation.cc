@@ -117,7 +117,7 @@ Result<UtilityReport> EvaluateDatasetUtility(
 
 Result<UtilityReport> EvaluateMultiDimUtility(
     const std::vector<std::vector<double>>& dims,
-    const MultiDimPerturberFactory& factory, const EvalOptions& options) {
+    const MultidimPerturberFactory& factory, const EvalOptions& options) {
   CAPP_RETURN_IF_ERROR(ValidateEvalOptions(options));
   if (dims.empty()) return Status::InvalidArgument("no dimensions");
   const size_t d = dims.size();
@@ -132,35 +132,34 @@ Result<UtilityReport> EvaluateMultiDimUtility(
 
   Rng rng(options.seed);
   UtilityReport report;
-  std::vector<double> slot(d, 0.0);
+  std::vector<double> truth(d * q);  // dim-major, like the reports
+  std::vector<double> reports;
   for (int trial = 0; trial < options.trials; ++trial) {
     for (int s = 0; s < options.num_subsequences; ++s) {
       const size_t max_start = n - q;
       const size_t start =
           max_start == 0 ? 0 : rng.UniformInt(max_start + 1);
-      CAPP_ASSIGN_OR_RETURN(std::unique_ptr<MultiDimPerturber> perturber,
-                            factory());
-      // Per-dimension report streams.
-      std::vector<std::vector<double>> outs(d);
-      for (size_t t = start; t < start + q; ++t) {
-        for (size_t k = 0; k < d; ++k) slot[k] = dims[k][t];
-        std::vector<double> reports = perturber->ProcessVector(slot, rng);
-        for (size_t k = 0; k < d; ++k) outs[k].push_back(reports[k]);
+      CAPP_ASSIGN_OR_RETURN(MultidimPerturber perturber, factory());
+      for (size_t k = 0; k < d; ++k) {
+        std::copy_n(dims[k].begin() + static_cast<ptrdiff_t>(start), q,
+                    truth.begin() + static_cast<ptrdiff_t>(k * q));
       }
+      perturber.PerturbStream(truth, q, reports, rng);
       // Score each dimension, averaged.
       const int smoothing_window =
           options.smoothing_window > 0
               ? options.smoothing_window
-              : perturber->publication_smoothing_window();
+              : perturber.publication_smoothing_window();
       double mse_sum = 0.0, cos_sum = 0.0, pw_sum = 0.0;
       for (size_t k = 0; k < d; ++k) {
-        const std::span<const double> truth(dims[k].data() + start, q);
-        auto smoothed = SimpleMovingAverage(outs[k], smoothing_window);
+        const std::span<const double> dim_truth(truth.data() + k * q, q);
+        const std::span<const double> dim_reports(reports.data() + k * q, q);
+        auto smoothed = SimpleMovingAverage(dim_reports, smoothing_window);
         CAPP_RETURN_IF_ERROR(smoothed.status());
-        const double err = Mean(outs[k]) - Mean(truth);
+        const double err = Mean(dim_reports) - Mean(dim_truth);
         mse_sum += err * err;
-        cos_sum += CosineDistance(*smoothed, truth);
-        pw_sum += Mse(*smoothed, truth);
+        cos_sum += CosineDistance(*smoothed, dim_truth);
+        pw_sum += Mse(*smoothed, dim_truth);
       }
       report.mean_mse += mse_sum / static_cast<double>(d);
       report.cosine_distance += cos_sum / static_cast<double>(d);

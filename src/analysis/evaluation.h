@@ -14,7 +14,7 @@
 #include <vector>
 
 #include "analysis/crowd.h"
-#include "multidim/budget_split.h"
+#include "multidim/multidim_perturber.h"
 
 namespace capp {
 
@@ -52,14 +52,13 @@ Result<UtilityReport> EvaluateDatasetUtility(
     const PerturberFactory& factory, const EvalOptions& options);
 
 /// Factory for multi-dimensional perturbers (fresh instance per run).
-using MultiDimPerturberFactory =
-    std::function<Result<std::unique_ptr<MultiDimPerturber>>()>;
+using MultidimPerturberFactory = std::function<Result<MultidimPerturber>()>;
 
 /// Evaluates a d-dimensional stream (dims[k] is dimension k's series, all
 /// equal length). Metrics are averaged across dimensions.
 Result<UtilityReport> EvaluateMultiDimUtility(
     const std::vector<std::vector<double>>& dims,
-    const MultiDimPerturberFactory& factory, const EvalOptions& options);
+    const MultidimPerturberFactory& factory, const EvalOptions& options);
 
 }  // namespace capp
 

@@ -1,22 +1,30 @@
-// MultidimPerturber: the engine-facing adapter that runs a whole
-// d-dimensional user stream through one of the multi-dimensional
-// strategies (multidim/budget_split.h, multidim/sample_split.h): the
-// fleet's one device pipeline for every d >= 1.
+// MultidimPerturber: d-dimensional user streams under the paper's two
+// multi-dimensional strategies (Section IV-C), and the fleet's one device
+// pipeline for every d >= 1.
 //
-// The strategies themselves are slot-at-a-time vector perturbers
-// (MultiDimPerturber::ProcessVector); the fleet works in dim-major runs
-// -- all of dimension 0's slots, then dimension 1's, exactly the 0xC6
-// wire layout. This adapter owns the gather/scatter between the two
-// shapes plus the per-user RNG, so a fleet worker's per-user path is
-// ResetForUser + one PerturbStream call, mirroring UserSession's
-// ResetForUser + ReportChunk. Like UserSession, one adapter is pooled per
-// worker chunk and reseeded per user, so the per-user path constructs no
-// perturber after the first user.
+// Both strategies run one scalar perturber per dimension and differ only
+// in how a slot spends the w-event budget eps:
+//   * Budget-Split (BS): every dimension uploads every slot; sequential
+//     composition gives each (dimension, slot) upload eps / (d * w), so
+//     each dimension's perturber runs with window budget eps / d.
+//   * Sample-Split (SS): at slot t only dimension t mod d (round-robin)
+//     uploads, at eps / w; the others republish their last report (0.5
+//     before their first upload). Each perturber keeps the full window
+//     budget eps: it uploads once every d slots, so any window of w slots
+//     still sums to eps across dimensions.
+//
+// Streams are dim-major -- all of dimension 0's slots, then dimension
+// 1's, exactly the 0xC6 wire layout -- and each (dimension, slot) report
+// is written straight into the caller's buffer. Draws are slot-major:
+// slot t perturbs its dimensions in order before slot t + 1. One object
+// is pooled per fleet worker and reseeded per user (ResetForUser), so the
+// per-user path constructs no perturber after the first user.
 #ifndef CAPP_MULTIDIM_MULTIDIM_PERTURBER_H_
 #define CAPP_MULTIDIM_MULTIDIM_PERTURBER_H_
 
 #include <memory>
 #include <span>
+#include <string>
 #include <string_view>
 #include <vector>
 
@@ -24,7 +32,7 @@
 #include "algorithms/perturber.h"
 #include "core/rng.h"
 #include "core/status.h"
-#include "multidim/budget_split.h"
+#include "stream/accountant.h"
 
 namespace capp {
 
@@ -55,36 +63,64 @@ class MultidimPerturber {
   /// online (the sampling kinds are refused). dims must be >= 1; at
   /// dims = 1 both strategies are `inner` itself (budget split spends
   /// eps / 1, sample split's one dimension uploads every slot), and report
-  /// for finite inputs exactly what a UserSession running it reports.
+  /// exactly what a UserSession running it reports.
   static Result<MultidimPerturber> Create(size_t dims,
                                           MultidimStrategy strategy,
                                           PerturberOptions options,
                                           AlgorithmKind inner);
 
+  /// "<inner>-bs" or "<inner>-ss", e.g. "capp-bs".
+  std::string_view name() const { return name_; }
+
+  /// SMA window the publication step calls for (the inner algorithm's;
+  /// see StreamPerturber).
   int publication_smoothing_window() const {
-    return impl_->publication_smoothing_window();
+    return inner_.front()->publication_smoothing_window();
   }
+
+  /// Optional shared (non-owned) ledger: window sums across *all*
+  /// dimensions must stay within the total budget. Under budget split,
+  /// and for a lone dimension, each inner perturber records its own
+  /// spends, so per-slot spends add across dimensions; under sample split
+  /// the strategy records eps / w at each global slot. nullptr detaches.
+  void AttachAccountant(WEventAccountant* accountant);
 
   /// Clears all per-stream state and reseeds the perturbation RNG: the
   /// per-user reset (seed = UserStreamSeed(fleet seed, uid, 1)).
   void ResetForUser(uint64_t seed);
 
-  /// Perturbs one user's whole stream. `truth` and `out` are dim-major
-  /// (dims * slots doubles; dimension k's run at [k * slots, (k+1) *
-  /// slots)); `out` is resized. Internally each slot's d-vector is
-  /// gathered, perturbed via the strategy, and scattered back. With one
-  /// dimension that slot order is the dimension's own, so the whole run
-  /// goes through the inner perturber's batched ProcessChunk instead.
+  /// Perturbs one user's whole stream with the pooled RNG. `truth` and
+  /// `out` are dim-major (dims * slots doubles; dimension k's run at
+  /// [k * slots, (k+1) * slots)); `out` is resized. With one dimension the
+  /// slot-major draw order is the dimension's own, so the whole run goes
+  /// through the inner perturber's batched ProcessChunk.
   void PerturbStream(std::span<const double> truth, size_t slots,
-                     std::vector<double>& out);
+                     std::vector<double>& out) {
+    PerturbStream(truth, slots, out, rng_);
+  }
+
+  /// As above, drawing from the caller's `rng` (callers that interleave
+  /// their own draws with the perturbation's).
+  void PerturbStream(std::span<const double> truth, size_t slots,
+                     std::vector<double>& out, Rng& rng);
 
  private:
-  explicit MultidimPerturber(std::unique_ptr<MultiDimPerturber> impl)
-      : impl_(std::move(impl)) {}
+  MultidimPerturber(std::vector<std::unique_ptr<StreamPerturber>> inner,
+                    bool sample_split, std::string name)
+      : inner_(std::move(inner)), sample_split_(sample_split),
+        name_(std::move(name)), last_report_(inner_.size(), 0.5) {}
 
-  std::unique_ptr<MultiDimPerturber> impl_;
+  std::vector<std::unique_ptr<StreamPerturber>> inner_;  // one per dim
+  /// Sample split with d >= 2 (a lone dimension uploads every slot, which
+  /// is budget split's loop).
+  bool sample_split_;
+  std::string name_;
   Rng rng_{0};
-  std::vector<double> x_;  // per-slot gather buffer, reused
+  // Sample split: each dimension's last report, the global slot counter,
+  // and the ledger it writes.
+  std::vector<double> last_report_;
+  size_t slot_ = 0;
+  WEventAccountant* accountant_ = nullptr;
 };
 
 }  // namespace capp

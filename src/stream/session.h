@@ -38,8 +38,7 @@ class UserSession {
       : user_id_(other.user_id_),
         perturber_(std::move(other.perturber_)),
         ledger_(std::move(other.ledger_)),
-        rng_(other.rng_),
-        clamp_scratch_(std::move(other.clamp_scratch_)) {
+        rng_(other.rng_) {
     if (perturber_) perturber_->AttachAccountant(&ledger_);
   }
   UserSession& operator=(UserSession&& other) noexcept {
@@ -48,7 +47,6 @@ class UserSession {
     perturber_ = std::move(other.perturber_);
     ledger_ = std::move(other.ledger_);
     rng_ = other.rng_;
-    clamp_scratch_ = std::move(other.clamp_scratch_);
     if (perturber_) perturber_->AttachAccountant(&ledger_);
     return *this;
   }
@@ -62,7 +60,9 @@ class UserSession {
   void ResetForUser(uint64_t user_id, uint64_t seed);
 
   /// Perturbs the current slot's value and returns the outgoing report.
-  /// Values are clamped into [0,1] (normalize upstream if necessary).
+  /// Values go through SanitizeUnitValue: finite ones are clamped into
+  /// [0,1] (normalize upstream if necessary) and NaN/+-inf readings become
+  /// the midpoint 0.5.
   SlotReport Report(double value);
 
   /// Perturbs values.size() consecutive slots in one call: out[i] is the
@@ -70,7 +70,7 @@ class UserSession {
   /// SlotReports, which keeps bulk producers free of per-report structs).
   /// Bit-identical to calling Report per element; the batched path is
   /// described at StreamPerturber::ProcessChunk. out.size() must equal
-  /// values.size().
+  /// values.size(), and the two must not overlap.
   void ReportChunk(std::span<const double> values, std::span<double> out);
 
   uint64_t user_id() const { return user_id_; }
@@ -98,7 +98,6 @@ class UserSession {
   std::unique_ptr<StreamPerturber> perturber_;
   WEventAccountant ledger_;
   Rng rng_;
-  std::vector<double> clamp_scratch_;  // ReportChunk's clamped inputs
 };
 
 }  // namespace capp

@@ -4,18 +4,18 @@
 // the paper's Theorems 3 and 4).
 #include <cmath>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "algorithms/app.h"
-#include "algorithms/capp.h"
 #include "algorithms/clip_bounds.h"
 #include "algorithms/factory.h"
-#include "algorithms/ipp.h"
+#include "algorithms/pp.h"
 #include "algorithms/sw_direct.h"
 #include "core/math_utils.h"
 #include "core/rng.h"
+#include "core/stream_digest.h"
 #include "data/generators.h"
 #include "stream/accountant.h"
 
@@ -83,11 +83,11 @@ TEST(FactoryTest, MechanismVariants) {
 }
 
 TEST(CappTest, NonSwMechanismRequiresExplicitDelta) {
-  EXPECT_FALSE(Capp::Create(CappOptions{{1.0, 10}, std::nullopt},
-                            MechanismKind::kPiecewise)
-                   .ok());
-  auto p = Capp::Create(CappOptions{{1.0, 10}, -0.1},
-                        MechanismKind::kPiecewise);
+  EXPECT_FALSE(
+      PpPerturber::Create(PpKind::kCapp, {1.0, 10}, MechanismKind::kPiecewise)
+          .ok());
+  auto p = PpPerturber::Create(PpKind::kCapp, {1.0, 10},
+                               MechanismKind::kPiecewise, -0.1);
   ASSERT_TRUE(p.ok());
   EXPECT_EQ((*p)->name(), "pm-capp");
   Rng rng(251);
@@ -98,7 +98,7 @@ TEST(CappTest, NonSwMechanismRequiresExplicitDelta) {
   for (double y : reports) EXPECT_TRUE(std::isfinite(y));
   // Deviation telescoping holds for any mechanism.
   EXPECT_NEAR(Mean(reports),
-              Mean(stream) - (*p)->accumulated_deviation() / stream.size(),
+              Mean(stream) - (*p)->deviation() / stream.size(),
               1e-12);
 }
 
@@ -137,21 +137,21 @@ TEST(SwDirectTest, LaplaceVariantMapsDomain) {
 // ------------------------------------------------------------------- IPP --
 
 TEST(IppTest, TracksLastDeviationExactly) {
-  auto p = Ipp::Create({1.0, 5});
+  auto p = PpPerturber::Create(PpKind::kIpp, {1.0, 5});
   ASSERT_TRUE(p.ok());
   Rng rng(217);
   const double x = 0.42;
   const double y = (*p)->ProcessValue(x, rng);
-  EXPECT_DOUBLE_EQ((*p)->last_deviation(), x - y);
+  EXPECT_DOUBLE_EQ((*p)->deviation(), x - y);
 }
 
 TEST(IppTest, ResetClearsState) {
-  auto p = Ipp::Create({1.0, 5});
+  auto p = PpPerturber::Create(PpKind::kIpp, {1.0, 5});
   ASSERT_TRUE(p.ok());
   Rng rng(219);
   (*p)->ProcessValue(0.3, rng);
   (*p)->Reset();
-  EXPECT_DOUBLE_EQ((*p)->last_deviation(), 0.0);
+  EXPECT_DOUBLE_EQ((*p)->deviation(), 0.0);
   EXPECT_EQ((*p)->slots_processed(), 0u);
 }
 
@@ -162,7 +162,7 @@ TEST(IppTest, MeanDeviationBelowDirect) {
   double dev_ipp = 0.0, dev_direct = 0.0;
   for (int t = 0; t < trials; ++t) {
     Rng rng_a(1000 + t), rng_b(1000 + t);
-    auto ipp = Ipp::Create({1.0, 40});
+    auto ipp = PpPerturber::Create(PpKind::kIpp, {1.0, 40});
     auto direct = MechanismDirect::Create({1.0, 40});
     ASSERT_TRUE(ipp.ok() && direct.ok());
     const auto yi = (*ipp)->PerturbSequence(stream, rng_a);
@@ -176,7 +176,7 @@ TEST(IppTest, MeanDeviationBelowDirect) {
 // ------------------------------------------------------------------- APP --
 
 TEST(AppTest, AccumulatedDeviationIsExactTelescope) {
-  auto p = App::Create({1.0, 10});
+  auto p = PpPerturber::Create(PpKind::kApp, {1.0, 10});
   ASSERT_TRUE(p.ok());
   Rng rng(223);
   const auto stream = TestStream(50);
@@ -184,19 +184,19 @@ TEST(AppTest, AccumulatedDeviationIsExactTelescope) {
   for (double x : stream) {
     const double y = (*p)->ProcessValue(x, rng);
     expect_d += x - y;
-    EXPECT_NEAR((*p)->accumulated_deviation(), expect_d, 1e-12);
+    EXPECT_NEAR((*p)->deviation(), expect_d, 1e-12);
   }
 }
 
 // Telescoping identity: sum of reports = sum of truths - D, i.e. the mean
 // error of APP's reports equals -D/n exactly.
 TEST(AppTest, MeanErrorEqualsMinusDOverN) {
-  auto p = App::Create({1.0, 10});
+  auto p = PpPerturber::Create(PpKind::kApp, {1.0, 10});
   ASSERT_TRUE(p.ok());
   Rng rng(227);
   const auto stream = TestStream(64);
   const auto reports = (*p)->PerturbSequence(stream, rng);
-  const double d = (*p)->accumulated_deviation();
+  const double d = (*p)->deviation();
   // With D = sum(x - y): sum(y) = sum(x) - D, so mean(y) = mean(x) - D/n.
   EXPECT_NEAR(Mean(reports), Mean(stream) - d / stream.size(), 1e-12);
 }
@@ -211,7 +211,7 @@ TEST(AppTest, MeanMseBelowDirect) {
   double mse_app = 0.0, mse_direct = 0.0;
   for (int t = 0; t < trials; ++t) {
     Rng rng_a(2000 + t), rng_b(2000 + t);
-    auto app = App::Create({1.0, 30});
+    auto app = PpPerturber::Create(PpKind::kApp, {1.0, 30});
     auto direct = MechanismDirect::Create({1.0, 30});
     ASSERT_TRUE(app.ok() && direct.ok());
     const auto ya = (*app)->PerturbSequence(stream, rng_a);
@@ -227,7 +227,7 @@ TEST(AppTest, MeanMseBelowDirect) {
 TEST(AppTest, WorksWithAlternativeMechanisms) {
   for (MechanismKind kind : {MechanismKind::kLaplace, MechanismKind::kDuchiSr,
                              MechanismKind::kPiecewise}) {
-    auto p = App::Create({2.0, 5}, kind);
+    auto p = PpPerturber::Create(PpKind::kApp, {2.0, 5}, kind);
     ASSERT_TRUE(p.ok()) << MechanismKindName(kind);
     Rng rng(229);
     const auto stream = TestStream(20);
@@ -325,7 +325,7 @@ TEST(ClipBoundsTest, PaperVarDxMatchesExactMoment) {
 // ------------------------------------------------------------------ CAPP --
 
 TEST(CappTest, AutoBoundsComeFromSelector) {
-  auto p = Capp::Create(PerturberOptions{1.0, 10});
+  auto p = PpPerturber::Create(PpKind::kCapp, {1.0, 10});
   ASSERT_TRUE(p.ok());
   auto expected = SelectClipBounds(0.1);
   ASSERT_TRUE(expected.ok());
@@ -333,18 +333,27 @@ TEST(CappTest, AutoBoundsComeFromSelector) {
 }
 
 TEST(CappTest, ExplicitDeltaRespected) {
-  auto p = Capp::Create(CappOptions{{1.0, 10}, 0.15});
+  auto p = PpPerturber::Create(PpKind::kCapp, {1.0, 10},
+                               MechanismKind::kSquareWave, 0.15);
   ASSERT_TRUE(p.ok());
   EXPECT_DOUBLE_EQ((*p)->bounds().l, -0.15);
   EXPECT_DOUBLE_EQ((*p)->bounds().u, 1.15);
 }
 
 TEST(CappTest, RejectsDegenerateDelta) {
-  EXPECT_FALSE(Capp::Create(CappOptions{{1.0, 10}, -0.5}).ok());
+  EXPECT_FALSE(PpPerturber::Create(PpKind::kCapp, {1.0, 10},
+                                   MechanismKind::kSquareWave, -0.5)
+                   .ok());
+  // Only CAPP widens its interval; direct perturbation is MechanismDirect.
+  EXPECT_FALSE(PpPerturber::Create(PpKind::kApp, {1.0, 10},
+                                   MechanismKind::kSquareWave, 0.1)
+                   .ok());
+  EXPECT_FALSE(PpPerturber::Create(PpKind::kDirect, {1.0, 10}).ok());
 }
 
 TEST(CappTest, ReportsStayInDenormalizedRange) {
-  auto p = Capp::Create(CappOptions{{1.0, 10}, 0.2});
+  auto p = PpPerturber::Create(PpKind::kCapp, {1.0, 10},
+                               MechanismKind::kSquareWave, 0.2);
   ASSERT_TRUE(p.ok());
   auto sw = SquareWave::Create(0.1);
   ASSERT_TRUE(sw.ok());
@@ -361,23 +370,123 @@ TEST(CappTest, ReportsStayInDenormalizedRange) {
 }
 
 TEST(CappTest, DeviationTelescopesLikeApp) {
-  auto p = Capp::Create(PerturberOptions{1.0, 10});
+  auto p = PpPerturber::Create(PpKind::kCapp, {1.0, 10});
   ASSERT_TRUE(p.ok());
   Rng rng(239);
   const auto stream = TestStream(40);
   const auto reports = (*p)->PerturbSequence(stream, rng);
   EXPECT_NEAR(Mean(reports),
-              Mean(stream) - (*p)->accumulated_deviation() / stream.size(),
+              Mean(stream) - (*p)->deviation() / stream.size(),
               1e-12);
 }
 
 TEST(CappTest, ResetRestoresInitialState) {
-  auto p = Capp::Create(PerturberOptions{1.0, 10});
+  auto p = PpPerturber::Create(PpKind::kCapp, {1.0, 10});
   ASSERT_TRUE(p.ok());
   Rng rng(241);
   (*p)->ProcessValue(0.5, rng);
   (*p)->Reset();
-  EXPECT_DOUBLE_EQ((*p)->accumulated_deviation(), 0.0);
+  EXPECT_DOUBLE_EQ((*p)->deviation(), 0.0);
+}
+
+// ---------------------------------------------------------- known answers --
+
+// Pin input: a sinusoid in [0.05, 0.95] with out-of-domain, signed-zero
+// and boundary readings planted early.
+std::vector<double> PinInputs() {
+  std::vector<double> x(200);
+  for (size_t i = 0; i < x.size(); ++i) {
+    x[i] = 0.5 + 0.45 * std::sin(0.37 * static_cast<double>(i));
+  }
+  x[3] = -0.25;
+  x[7] = 1.5;
+  x[11] = -0.0;
+  x[13] = 0.0;
+  x[17] = 1.0;
+  return x;
+}
+
+// UserStreamDigest(0, reports) of the pin input from Rng(77). The per-slot
+// loop and, after Reset(), the batched chunk must both give it.
+uint64_t PinDigest(StreamPerturber& p) {
+  const std::vector<double> x = PinInputs();
+  Rng rng(77);
+  std::vector<double> scalar;
+  for (double v : x) scalar.push_back(p.ProcessValue(v, rng));
+  p.Reset();
+  Rng chunk_rng(77);
+  std::vector<double> chunk(x.size());
+  p.ProcessChunk(x, chunk, chunk_rng);
+  EXPECT_EQ(UserStreamDigest(0, chunk), UserStreamDigest(0, scalar));
+  return UserStreamDigest(0, scalar);
+}
+
+// Every online algorithm over every mechanism it accepts, pinned to the
+// reports of the per-algorithm classes the PP recurrence replaced. SR and
+// HM agree: at eps/w = 0.1 the hybrid mechanism is pure SR.
+TEST(KnownAnswerTest, OnlineAlgorithmsArePinned) {
+  struct Pin {
+    AlgorithmKind kind;
+    uint64_t digest[5];  // sw, laplace, sr, pm, hm; 0 = refused
+  };
+  const Pin pins[] = {
+      {AlgorithmKind::kSwDirect,
+       {0x80c6993d1cfb0052, 0xc25b3bae35eefeab, 0x9a7a589787e18f2c,
+        0x59550bc197e7c39e, 0x9a7a589787e18f2c}},
+      {AlgorithmKind::kIpp,
+       {0xbd2cbb60478a167e, 0xa2629adc1d8a278d, 0x4831fa1e51804564,
+        0x28fbe9f4ddc16311, 0x4831fa1e51804564}},
+      {AlgorithmKind::kApp,
+       {0x7bbea77c4e5ec572, 0x26bfd962c112bdbb, 0xc985919eb968ddc3,
+        0x380029dc6a91e8f6, 0xc985919eb968ddc3}},
+      {AlgorithmKind::kCapp,
+       {0x275a5512e0e8df04, 0x60e3d7733bc5b795, 0xf6b322ad591a9298,
+        0xecf44ee5ce321f8b, 0xf6b322ad591a9298}},
+      {AlgorithmKind::kBaSw, {0xd057a9fb58f581e8, 0, 0, 0, 0}},
+      {AlgorithmKind::kTopl, {0xa3e09077f1440438, 0, 0, 0, 0}},
+  };
+  const MechanismKind mechanisms[] = {
+      MechanismKind::kSquareWave, MechanismKind::kLaplace,
+      MechanismKind::kDuchiSr, MechanismKind::kPiecewise,
+      MechanismKind::kHybrid};
+  for (const Pin& pin : pins) {
+    for (size_t m = 0; m < 5; ++m) {
+      SCOPED_TRACE(std::string(AlgorithmKindName(pin.kind)) + " over " +
+                   std::string(MechanismKindName(mechanisms[m])));
+      auto p = CreatePerturberWithMechanism(pin.kind, {1.0, 10},
+                                            mechanisms[m]);
+      ASSERT_EQ(p.ok(), pin.digest[m] != 0) << p.status().ToString();
+      if (!p.ok()) continue;
+      EXPECT_EQ(PinDigest(**p), pin.digest[m]);
+    }
+  }
+}
+
+// CAPP at explicit clip widenings (Fig. 11, bench_ablation_bounds). At
+// delta = 0 the interval is [0, 1] and CAPP is APP: eps = 1 reproduces
+// the APP pin above bit for bit.
+TEST(KnownAnswerTest, ExplicitDeltaCappIsPinned) {
+  struct Pin {
+    double delta;
+    uint64_t digest[3];  // eps = 0.5, 1, 3
+  };
+  const Pin pins[] = {
+      {-0.25, {0x5f81fb3b11436824, 0x7303e8b25a6b251d, 0xfee11b1c184a9473}},
+      {0.0, {0x55dfc23fd264a513, 0x7bbea77c4e5ec572, 0x19a6787453526496}},
+      {0.15, {0x133c55430917df8e, 0x815bcad44f997893, 0x4390401ef0782b38}},
+      {0.4, {0x2a1821e5a24ed923, 0x3383657c5249470d, 0x1c14d51e68512ac7}},
+  };
+  const double epsilons[] = {0.5, 1.0, 3.0};
+  for (const Pin& pin : pins) {
+    for (size_t e = 0; e < 3; ++e) {
+      SCOPED_TRACE(testing::Message() << "delta " << pin.delta << " eps "
+                                      << epsilons[e]);
+      auto p = PpPerturber::Create(PpKind::kCapp, {epsilons[e], 10},
+                                   MechanismKind::kSquareWave, pin.delta);
+      ASSERT_TRUE(p.ok());
+      EXPECT_EQ(PinDigest(**p), pin.digest[e]);
+    }
+  }
 }
 
 // ----------------------------------------------- w-event ledger audit -----

@@ -14,7 +14,7 @@
 #include "core/math_utils.h"
 #include "core/rng.h"
 #include "data/datasets.h"
-#include "multidim/sample_split.h"
+#include "multidim/multidim_perturber.h"
 
 namespace capp {
 namespace {
@@ -325,12 +325,8 @@ TEST(EvaluationTest, DatasetVariantSamplesUsers) {
 TEST(EvaluationTest, MultiDimVariant) {
   const auto dims = MultiDimSinusoid(3, 120);
   auto factory = [] {
-    return Result<std::unique_ptr<MultiDimPerturber>>(
-        [] {
-          auto p = SampleSplitPerturber::Create(3, {1.0, 10},
-                                                AlgorithmKind::kApp);
-          return std::move(p).value();
-        }());
+    return MultidimPerturber::Create(3, MultidimStrategy::kSampleSplit,
+                                     {1.0, 10}, AlgorithmKind::kApp);
   };
   EvalOptions opts;
   opts.query_length = 20;

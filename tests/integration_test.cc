@@ -7,8 +7,8 @@
 #include <gtest/gtest.h>
 
 #include "algorithms/ba_sw.h"
-#include "algorithms/capp.h"
 #include "algorithms/factory.h"
+#include "algorithms/pp.h"
 #include "algorithms/sampling.h"
 #include "analysis/crowd.h"
 #include "analysis/empirical.h"
@@ -74,8 +74,9 @@ TEST(IntegrationTest, TunedCappBeatsAppForMeanEstimation) {
   opts.trials = 20;
   opts.num_subsequences = 40;
   auto capp_factory = [&]() -> Result<std::unique_ptr<StreamPerturber>> {
-    CAPP_ASSIGN_OR_RETURN(auto p,
-                          Capp::Create(CappOptions{{eps, w}, -0.25}));
+    CAPP_ASSIGN_OR_RETURN(
+        auto p, PpPerturber::Create(PpKind::kCapp, {eps, w},
+                                    MechanismKind::kSquareWave, -0.25));
     return std::unique_ptr<StreamPerturber>(std::move(p));
   };
   auto capp = EvaluateStreamUtility(c6h6.stream(), capp_factory, opts);

@@ -1,10 +1,13 @@
 // Tests for the high-dimensional strategies: Budget-Split and Sample-Split
-// (Section IV-C, Fig. 10), the MultidimPerturber engine adapter, and the
+// (Section IV-C, Fig. 10) as run by MultidimPerturber, their pinned
+// reports and w-event ledgers, and the
 // engine-path equivalence contract -- a d-dimensional Fleet run must be an
 // exact composition of the offline per-user oracle (same seeds, same
 // strategies, same smoothing) with accuracy inside the fig10 tolerance.
 #include <bit>
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -14,9 +17,7 @@
 #include "data/datasets.h"
 #include "engine/engine_config.h"
 #include "engine/fleet.h"
-#include "multidim/budget_split.h"
 #include "multidim/multidim_perturber.h"
-#include "multidim/sample_split.h"
 #include "stream/accountant.h"
 #include "stream/session.h"
 #include "stream/smoothing.h"
@@ -24,23 +25,58 @@
 namespace capp {
 namespace {
 
+// Dim-major pin input: a sinusoid with out-of-domain, signed-zero and
+// boundary readings planted early, repeated across dims * slots cells.
+std::vector<double> PinTruth(size_t cells) {
+  std::vector<double> x(200);
+  for (size_t i = 0; i < x.size(); ++i) {
+    x[i] = 0.5 + 0.45 * std::sin(0.37 * static_cast<double>(i));
+  }
+  x[3] = -0.25;
+  x[7] = 1.5;
+  x[11] = -0.0;
+  x[13] = 0.0;
+  x[17] = 1.0;
+  std::vector<double> truth(cells);
+  for (size_t i = 0; i < cells; ++i) truth[i] = x[i % x.size()];
+  return truth;
+}
+
+constexpr AlgorithmKind kOnlineKinds[] = {
+    AlgorithmKind::kSwDirect, AlgorithmKind::kIpp,  AlgorithmKind::kApp,
+    AlgorithmKind::kCapp,     AlgorithmKind::kBaSw, AlgorithmKind::kTopl};
+
+MultidimPerturber MustCreate(size_t dims, MultidimStrategy strategy,
+                             PerturberOptions options, AlgorithmKind inner) {
+  auto created = MultidimPerturber::Create(dims, strategy, options, inner);
+  EXPECT_TRUE(created.ok()) << created.status().ToString();
+  return std::move(created).value();
+}
+
 TEST(BudgetSplitTest, RejectsZeroDimensions) {
-  EXPECT_FALSE(BudgetSplitPerturber::Create(0, {1.0, 10}).ok());
+  EXPECT_FALSE(MultidimPerturber::Create(0, MultidimStrategy::kBudgetSplit,
+                                         {1.0, 10}, AlgorithmKind::kSwDirect)
+                   .ok());
 }
 
 TEST(BudgetSplitTest, NamesReflectInnerAlgorithm) {
-  auto bs = BudgetSplitPerturber::Create(3, {1.0, 10}, AlgorithmKind::kApp);
-  ASSERT_TRUE(bs.ok());
-  EXPECT_EQ((*bs)->name(), "app-bs");
-  EXPECT_EQ((*bs)->dimensions(), 3u);
+  EXPECT_EQ(MustCreate(3, MultidimStrategy::kBudgetSplit, {1.0, 10},
+                       AlgorithmKind::kApp)
+                .name(),
+            "app-bs");
+  EXPECT_EQ(MustCreate(3, MultidimStrategy::kSampleSplit, {1.0, 10},
+                       AlgorithmKind::kCapp)
+                .name(),
+            "capp-ss");
 }
 
 TEST(BudgetSplitTest, OutputHasOneReportPerDimension) {
-  auto bs = BudgetSplitPerturber::Create(4, {1.0, 10});
-  ASSERT_TRUE(bs.ok());
-  Rng rng(501);
-  const std::vector<double> x = {0.1, 0.4, 0.6, 0.9};
-  const auto y = (*bs)->ProcessVector(x, rng);
+  MultidimPerturber bs = MustCreate(4, MultidimStrategy::kBudgetSplit,
+                                    {1.0, 10}, AlgorithmKind::kSwDirect);
+  bs.ResetForUser(501);
+  const std::vector<double> x = {0.1, 0.4, 0.6, 0.9};  // one slot
+  std::vector<double> y;
+  bs.PerturbStream(x, 1, y);
   EXPECT_EQ(y.size(), 4u);
 }
 
@@ -48,53 +84,60 @@ TEST(BudgetSplitTest, LedgerSumsAcrossDimensions) {
   const size_t d = 5;
   const double eps = 1.0;
   const int w = 10;
-  auto bs = BudgetSplitPerturber::Create(d, {eps, w}, AlgorithmKind::kCapp);
-  ASSERT_TRUE(bs.ok());
+  MultidimPerturber bs = MustCreate(d, MultidimStrategy::kBudgetSplit,
+                                    {eps, w}, AlgorithmKind::kCapp);
   WEventAccountant ledger;
-  (*bs)->AttachAccountant(&ledger);
-  Rng rng(503);
-  const std::vector<double> x(d, 0.5);
-  for (int t = 0; t < 50; ++t) (*bs)->ProcessVector(x, rng);
+  bs.AttachAccountant(&ledger);
+  bs.ResetForUser(503);
+  const std::vector<double> x(d * 50, 0.5);
+  std::vector<double> y;
+  bs.PerturbStream(x, 50, y);
   // Each slot spends d * eps/(d*w) = eps/w; any window spends exactly eps.
   EXPECT_TRUE(ledger.VerifyBudget(w, eps).ok())
       << ledger.MaxWindowSpend(w);
   EXPECT_NEAR(ledger.MaxWindowSpend(w), eps, 1e-9);
 }
 
+// Runs `slots` slots of a constant d-vector one slot per PerturbStream
+// call and returns each slot's d reports.
+std::vector<std::vector<double>> PerturbSlots(MultidimPerturber& perturber,
+                                              const std::vector<double>& x,
+                                              int slots) {
+  std::vector<std::vector<double>> reports;
+  for (int t = 0; t < slots; ++t) {
+    reports.emplace_back();
+    perturber.PerturbStream(x, 1, reports.back());
+  }
+  return reports;
+}
+
 TEST(SampleSplitTest, OnlyActiveDimensionChanges) {
   const size_t d = 3;
-  auto ss = SampleSplitPerturber::Create(d, {1.0, 10});
-  ASSERT_TRUE(ss.ok());
-  Rng rng(509);
-  const std::vector<double> x = {0.2, 0.5, 0.8};
-  auto prev = (*ss)->ProcessVector(x, rng);
+  MultidimPerturber ss = MustCreate(d, MultidimStrategy::kSampleSplit,
+                                    {1.0, 10}, AlgorithmKind::kSwDirect);
+  ss.ResetForUser(509);
+  const auto y = PerturbSlots(ss, {0.2, 0.5, 0.8}, 12);
   for (int t = 1; t < 12; ++t) {
-    const auto cur = (*ss)->ProcessVector(x, rng);
     int changed = 0;
     for (size_t k = 0; k < d; ++k) {
-      if (cur[k] != prev[k]) ++changed;
+      if (y[t][k] != y[t - 1][k]) ++changed;
     }
     EXPECT_LE(changed, 1) << "slot " << t;
-    prev = cur;
   }
 }
 
 TEST(SampleSplitTest, RoundRobinCoversAllDimensions) {
   const size_t d = 4;
-  auto ss = SampleSplitPerturber::Create(d, {1.0, 10});
-  ASSERT_TRUE(ss.ok());
-  Rng rng(521);
-  const std::vector<double> x = {0.2, 0.4, 0.6, 0.8};
-  std::vector<double> first = (*ss)->ProcessVector(x, rng);
+  MultidimPerturber ss = MustCreate(d, MultidimStrategy::kSampleSplit,
+                                    {1.0, 10}, AlgorithmKind::kSwDirect);
+  ss.ResetForUser(521);
+  const auto y = PerturbSlots(ss, {0.2, 0.4, 0.6, 0.8}, static_cast<int>(d));
   std::vector<bool> updated(d, false);
   updated[0] = true;  // slot 0 updates dim 0
-  auto prev = first;
-  for (int t = 1; t < static_cast<int>(d); ++t) {
-    const auto cur = (*ss)->ProcessVector(x, rng);
+  for (size_t t = 1; t < d; ++t) {
     for (size_t k = 0; k < d; ++k) {
-      if (cur[k] != prev[k]) updated[k] = true;
+      if (y[t][k] != y[t - 1][k]) updated[k] = true;
     }
-    prev = cur;
   }
   for (size_t k = 0; k < d; ++k) EXPECT_TRUE(updated[k]) << "dim " << k;
 }
@@ -103,35 +146,138 @@ TEST(SampleSplitTest, LedgerSpendsEpsOverWPerSlot) {
   const size_t d = 4;
   const double eps = 2.0;
   const int w = 8;
-  auto ss = SampleSplitPerturber::Create(d, {eps, w}, AlgorithmKind::kApp);
-  ASSERT_TRUE(ss.ok());
+  MultidimPerturber ss = MustCreate(d, MultidimStrategy::kSampleSplit,
+                                    {eps, w}, AlgorithmKind::kApp);
   WEventAccountant ledger;
-  (*ss)->AttachAccountant(&ledger);
-  Rng rng(523);
-  const std::vector<double> x(d, 0.5);
-  for (int t = 0; t < 40; ++t) (*ss)->ProcessVector(x, rng);
+  ss.AttachAccountant(&ledger);
+  ss.ResetForUser(523);
+  const std::vector<double> x(d * 40, 0.5);
+  std::vector<double> y;
+  ss.PerturbStream(x, 40, y);
   EXPECT_TRUE(ledger.VerifyBudget(w, eps).ok());
   EXPECT_NEAR(ledger.MaxWindowSpend(w), eps, 1e-9);
   EXPECT_NEAR(ledger.SlotSpend(0), eps / w, 1e-12);
 }
 
 TEST(SampleSplitTest, ResetRestartsRoundRobin) {
-  auto ss = SampleSplitPerturber::Create(2, {1.0, 10});
-  ASSERT_TRUE(ss.ok());
-  Rng rng(541);
+  MultidimPerturber ss = MustCreate(2, MultidimStrategy::kSampleSplit,
+                                    {1.0, 10}, AlgorithmKind::kSwDirect);
   const std::vector<double> x = {0.3, 0.7};
-  (*ss)->ProcessVector(x, rng);
-  (*ss)->Reset();
+  std::vector<double> y;
+  ss.ResetForUser(541);
+  ss.PerturbStream(x, 1, y);
+  ss.ResetForUser(541);
   WEventAccountant ledger;
-  (*ss)->AttachAccountant(&ledger);
-  (*ss)->ProcessVector(x, rng);
+  ss.AttachAccountant(&ledger);
+  ss.PerturbStream(x, 1, y);
   EXPECT_GT(ledger.SlotSpend(0), 0.0);  // slot counter restarted at 0
+}
+
+// Every (d, strategy, inner) combination, pinned: XOR over users
+// u = 0..2 of UserStreamDigest(u, reports) for 60 slots of the pin input
+// after ResetForUser(1000 + u) -- the reports of the per-strategy classes
+// MultidimPerturber replaced.
+TEST(MultidimPerturberTest, ReportsArePinned) {
+  struct Pin {
+    size_t dims;
+    MultidimStrategy strategy;
+    uint64_t digest[6];  // kOnlineKinds order
+  };
+  const Pin pins[] = {
+      {2, MultidimStrategy::kBudgetSplit,
+       {0x66ca8d7e6bf902ad, 0x210fa2a303b6b59a, 0xb920bc18950b00e4,
+        0x7d2f0e4e4ed3ff6c, 0xba8a7c43b26d8a26, 0xd8ba5df6cf00fa31}},
+      {2, MultidimStrategy::kSampleSplit,
+       {0x407c0dc2f8efa193, 0x236d074ac00df4bc, 0x5984709a3849a113,
+        0x4cf899bea5b7e264, 0x98683a7466adb7a8, 0x544f9e6ecf81d6b7}},
+      {3, MultidimStrategy::kBudgetSplit,
+       {0x563c1701fa864d3e, 0x4484545349d0203a, 0x42702af8fa81f95d,
+        0xa83c298c5a361d23, 0x302e994bb1757ecb, 0xe2236921f66f71c2}},
+      {3, MultidimStrategy::kSampleSplit,
+       {0x155ee5b7b1f68693, 0xa29d80fdf0b5c51f, 0x791600d9bd64d24c,
+        0x9497ad42bd8144a7, 0x4ff906863f09fc34, 0xc8eaf2fb7d2b2aed}},
+      {4, MultidimStrategy::kBudgetSplit,
+       {0xb5a5d2f8e736b7bd, 0x3651c0968acf7771, 0x930721ced802ed91,
+        0x79ca6ce3ba2a2024, 0x22a61e8858ee1bc7, 0x365fe04dd65417c4}},
+      {4, MultidimStrategy::kSampleSplit,
+       {0x57ca45fa09285937, 0x685b95d41fc1da0e, 0x18dec2520f865783,
+        0xbd32c45a54b7bbd3, 0x89e0a61b5e65dc0a, 0x15799e666dd64eb4}},
+  };
+  constexpr size_t kSlots = 60;
+  for (const Pin& pin : pins) {
+    const std::vector<double> truth = PinTruth(pin.dims * kSlots);
+    for (size_t i = 0; i < 6; ++i) {
+      SCOPED_TRACE(testing::Message()
+                   << "d=" << pin.dims << " "
+                   << MultidimStrategyName(pin.strategy) << " "
+                   << AlgorithmKindName(kOnlineKinds[i]));
+      MultidimPerturber perturber =
+          MustCreate(pin.dims, pin.strategy, {1.0, 10}, kOnlineKinds[i]);
+      uint64_t digest = 0;
+      std::vector<double> out;
+      for (uint64_t u = 0; u < 3; ++u) {
+        perturber.ResetForUser(1000 + u);
+        perturber.PerturbStream(truth, kSlots, out);
+        digest ^= UserStreamDigest(u, out);
+      }
+      EXPECT_EQ(digest, pin.digest[i]);
+    }
+  }
+}
+
+// The w-event ledger of every d-dimensional pipeline the fleet can run,
+// 3 users x 60 slots of the pin input at eps = 1, w = 10, one ledger per
+// user. No window ever overspends. Every slot spends exactly eps/w when
+// each upload does: the PP kinds and SW-direct under both strategies, and
+// every kind under sample split at d >= 2, whose ledger the strategy
+// writes. BA-SW and ToPL under budget split -- and at d = 1, where both
+// strategies are the inner algorithm recording its own spends -- spend
+// what their own policies spend, pinned per user.
+TEST(MultidimPerturberTest, LedgerAuditCoversEveryPipeline) {
+  constexpr double kEps = 1.0;
+  constexpr int kW = 10;
+  constexpr size_t kSlots = 60;
+  // BA-SW's per-user max window spend at d = 1..4 (ToPL's is 0.5).
+  const double ba_sw[4][3] = {{1.0, 0.95, 1.0},
+                              {0.925, 0.925, 0.9},
+                              {0.95, 0.95, 0.95},
+                              {0.9375, 0.9, 0.9125}};
+  for (size_t dims : {size_t{1}, size_t{2}, size_t{3}, size_t{4}}) {
+    const std::vector<double> truth = PinTruth(dims * kSlots);
+    for (MultidimStrategy strategy : {MultidimStrategy::kBudgetSplit,
+                                      MultidimStrategy::kSampleSplit}) {
+      for (AlgorithmKind kind : kOnlineKinds) {
+        SCOPED_TRACE(testing::Message()
+                     << "d=" << dims << " " << MultidimStrategyName(strategy)
+                     << " " << AlgorithmKindName(kind));
+        MultidimPerturber perturber =
+            MustCreate(dims, strategy, {kEps, kW}, kind);
+        std::vector<double> out;
+        for (uint64_t u = 0; u < 3; ++u) {
+          WEventAccountant ledger;
+          perturber.AttachAccountant(&ledger);
+          perturber.ResetForUser(1000 + u);
+          perturber.PerturbStream(truth, kSlots, out);
+          EXPECT_TRUE(ledger.VerifyBudget(kW, kEps).ok()) << "user " << u;
+          const bool own_policy =
+              (kind == AlgorithmKind::kBaSw || kind == AlgorithmKind::kTopl) &&
+              (strategy == MultidimStrategy::kBudgetSplit || dims == 1);
+          double expected = kEps;
+          if (own_policy) {
+            expected = kind == AlgorithmKind::kTopl ? 0.5 : ba_sw[dims - 1][u];
+          }
+          EXPECT_NEAR(ledger.MaxWindowSpend(kW), expected, 1e-9)
+              << "user " << u;
+        }
+      }
+    }
+  }
 }
 
 // ------------------------------------------- engine adapter + equivalence ----
 
 TEST(MultidimPerturberTest, RejectsZeroDimensions) {
-  EXPECT_FALSE(MultidimPerturber::Create(0, MultidimStrategy::kBudgetSplit,
+  EXPECT_FALSE(MultidimPerturber::Create(0, MultidimStrategy::kSampleSplit,
                                          {1.0, 10}, AlgorithmKind::kCapp)
                    .ok());
 }
@@ -143,8 +289,6 @@ TEST(MultidimPerturberTest, RefusesOfflineInnerAlgorithms) {
   for (AlgorithmKind inner : {AlgorithmKind::kSampling, AlgorithmKind::kAppS,
                               AlgorithmKind::kCappS}) {
     SCOPED_TRACE(AlgorithmKindName(inner));
-    EXPECT_FALSE(BudgetSplitPerturber::Create(4, {1.0, 10}, inner).ok());
-    EXPECT_FALSE(SampleSplitPerturber::Create(4, {1.0, 10}, inner).ok());
     for (MultidimStrategy strategy : {MultidimStrategy::kBudgetSplit,
                                       MultidimStrategy::kSampleSplit}) {
       for (size_t dims : {size_t{1}, size_t{4}}) {
@@ -159,8 +303,8 @@ TEST(MultidimPerturberTest, RefusesOfflineInnerAlgorithms) {
 
 // d = 1 is the one-dimension case of the device pipeline: for every
 // online algorithm and either strategy label, a pooled one-dimensional
-// MultidimPerturber reports exactly what a UserSession reports, bit for
-// bit, user after user.
+// MultidimPerturber reports exactly what a UserSession reports through
+// ReportChunk and through Report, bit for bit, user after user.
 TEST(MultidimPerturberTest, OneDimensionMatchesUserSessionBitForBit) {
   constexpr size_t kSlots = 40;
   for (AlgorithmKind kind :
@@ -176,10 +320,14 @@ TEST(MultidimPerturberTest, OneDimensionMatchesUserSessionBitForBit) {
       std::vector<double> reports;
       for (uint64_t uid = 0; uid < 4; ++uid) {
         SCOPED_TRACE(uid);
-        // Finite inputs, out-of-domain ones included (both paths clamp).
+        // Out-of-domain and non-finite inputs included: both paths map
+        // them through SanitizeUnitValue (+-inf and NaN to 0.5).
         Rng input_rng(900 + uid);
         std::vector<double> truth(kSlots);
         for (double& x : truth) x = input_rng.Uniform(-0.25, 1.25);
+        truth[1] = std::numeric_limits<double>::infinity();
+        truth[3] = -std::numeric_limits<double>::infinity();
+        truth[6] = std::numeric_limits<double>::quiet_NaN();
         const uint64_t seed = UserStreamSeed(31, uid, 1);
         perturber->ResetForUser(seed);
         perturber->PerturbStream(truth, kSlots, reports);
@@ -187,10 +335,15 @@ TEST(MultidimPerturberTest, OneDimensionMatchesUserSessionBitForBit) {
         ASSERT_TRUE(session.ok());
         std::vector<double> expected(kSlots);
         session->ReportChunk(truth, expected);
+        auto per_slot = UserSession::Create(uid, kind, options, seed);
+        ASSERT_TRUE(per_slot.ok());
         ASSERT_EQ(reports.size(), kSlots);
         for (size_t t = 0; t < kSlots; ++t) {
           EXPECT_EQ(std::bit_cast<uint64_t>(reports[t]),
                     std::bit_cast<uint64_t>(expected[t]))
+              << "slot " << t;
+          EXPECT_EQ(std::bit_cast<uint64_t>(reports[t]),
+                    std::bit_cast<uint64_t>(per_slot->Report(truth[t]).value))
               << "slot " << t;
         }
       }
