@@ -52,23 +52,17 @@ namespace {
 
 // Algorithm 2's slot update, the one recurrence behind IPP, APP and CAPP.
 // `perturb` maps a normalized input in [0, 1] to a report on the data
-// scale. kAccumulate picks the deviation memory (APP/CAPP sum every slot's
-// deviation, IPP keeps only the last one); kWiden picks the interval. On
-// [0, 1] the normalization (input - 0) / 1 and its inverse y * 1 + 0 are
-// exact, so they are elided to keep IPP's and APP's feedback chain short
-// without changing a bit.
-template <bool kAccumulate, bool kWiden, typename Perturb>
+// scale. kAccumulate picks the deviation memory: APP and CAPP sum every
+// slot's deviation, IPP keeps only the last one. IPP and APP run it on
+// [l, u] = [0, 1], where (input - 0) / 1 and y * 1 + 0 are exact.
+template <bool kAccumulate, typename Perturb>
 double Step(double x, double& deviation, const ClipBounds& bounds,
             Perturb&& perturb) {
-  double report;
-  if constexpr (kWiden) {
-    // Lines 5-9: clip to [l, u], normalize, perturb, denormalize.
-    const double width = bounds.u - bounds.l;
-    const double input = Clamp(x + deviation, bounds.l, bounds.u);
-    report = perturb((input - bounds.l) / width) * width + bounds.l;
-  } else {
-    report = perturb(Clamp(x + deviation, 0.0, 1.0));
-  }
+  // Lines 5-9: clip to [l, u], normalize, perturb, denormalize.
+  const double width = bounds.u - bounds.l;
+  const double input = Clamp(x + deviation, bounds.l, bounds.u);
+  const double report =
+      perturb((input - bounds.l) / width) * width + bounds.l;
   // Lines 10-11: d_t = x_t - x'_t folds into the memory.
   if constexpr (kAccumulate) {
     deviation += x - report;
@@ -83,7 +77,7 @@ double Step(double x, double& deviation, const ClipBounds& bounds,
 // is skipped (x * 1.0, y - 0.0 and / 1.0 are exact; the +-0.0 corner
 // yields identical sampler output). Locals keep the memory and interval
 // in registers, where out[] stores could alias the members.
-template <bool kAccumulate, bool kWiden>
+template <bool kAccumulate>
 void SwChunk(std::span<const double> in, std::span<double> out, Rng& rng,
              const SwBatchPlan& plan, ClipBounds bounds, double& deviation) {
   const SwParams params = plan.params;
@@ -91,7 +85,7 @@ void SwChunk(std::span<const double> in, std::span<double> out, Rng& rng,
   double memory = deviation;
   internal::ForEachSwSlot(
       in, out, rng, [&](double raw, double u1, double u2) {
-        return Step<kAccumulate, kWiden>(
+        return Step<kAccumulate>(
             SanitizeUnitValue(raw), memory, bounds, [&](double v) {
               return SwSampleFromUniforms(params, near_mass, v, u1, u2);
             });
@@ -106,14 +100,9 @@ double PpPerturber::DoProcessValue(double x, Rng& rng) {
   const auto perturb = [&](double v) {
     return map_.FromMechanism(mechanism_->Perturb(map_.ToMechanism(v), rng));
   };
-  switch (kind_) {
-    case PpKind::kIpp:
-      return Step<false, false>(x, deviation_, bounds_, perturb);
-    case PpKind::kApp:
-      return Step<true, false>(x, deviation_, bounds_, perturb);
-    default:
-      return Step<true, true>(x, deviation_, bounds_, perturb);
-  }
+  return kind_ == PpKind::kIpp
+             ? Step<false>(x, deviation_, bounds_, perturb)
+             : Step<true>(x, deviation_, bounds_, perturb);
 }
 
 void PpPerturber::DoProcessChunk(std::span<const double> in,
@@ -124,16 +113,10 @@ void PpPerturber::DoProcessChunk(std::span<const double> in,
     return;
   }
   RecordSpendRun(in.size(), mechanism_->epsilon());
-  switch (kind_) {
-    case PpKind::kIpp:
-      SwChunk<false, false>(in, out, rng, *plan, bounds_, deviation_);
-      break;
-    case PpKind::kApp:
-      SwChunk<true, false>(in, out, rng, *plan, bounds_, deviation_);
-      break;
-    default:
-      SwChunk<true, true>(in, out, rng, *plan, bounds_, deviation_);
-      break;
+  if (kind_ == PpKind::kIpp) {
+    SwChunk<false>(in, out, rng, *plan, bounds_, deviation_);
+  } else {
+    SwChunk<true>(in, out, rng, *plan, bounds_, deviation_);
   }
   AdvanceSlots(in.size());
 }

@@ -22,6 +22,25 @@ std::string_view PpKindName(PpKind kind) {
   return "unknown";
 }
 
+namespace {
+
+// The online algorithm PP-S runs over the segment means.
+AlgorithmKind InnerAlgorithm(PpKind kind) {
+  switch (kind) {
+    case PpKind::kDirect:
+      return AlgorithmKind::kSwDirect;
+    case PpKind::kIpp:
+      return AlgorithmKind::kIpp;
+    case PpKind::kApp:
+      return AlgorithmKind::kApp;
+    case PpKind::kCapp:
+      return AlgorithmKind::kCapp;
+  }
+  return AlgorithmKind::kSwDirect;
+}
+
+}  // namespace
+
 Result<std::unique_ptr<PpSampler>> PpSampler::Create(SamplingOptions options,
                                                      PpKind inner) {
   CAPP_RETURN_IF_ERROR(ValidatePerturberOptions(options.base));
@@ -68,11 +87,7 @@ std::vector<double> PpSampler::DoPerturbSequence(std::span<const double> xs,
   PerturberOptions inner_options;
   inner_options.epsilon = sel.epsilon_per_upload;
   inner_options.window = 1;
-  constexpr AlgorithmKind kAlgorithm[] = {
-      AlgorithmKind::kSwDirect, AlgorithmKind::kIpp, AlgorithmKind::kApp,
-      AlgorithmKind::kCapp};  // indexed by PpKind
-  auto created =
-      CreatePerturber(kAlgorithm[static_cast<int>(inner_)], inner_options);
+  auto created = CreatePerturber(InnerAlgorithm(inner_), inner_options);
   CAPP_CHECK(created.ok());
   const std::unique_ptr<StreamPerturber> pp = std::move(created).value();
 

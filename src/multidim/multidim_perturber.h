@@ -10,8 +10,12 @@
 //   * Sample-Split (SS): at slot t only dimension t mod d (round-robin)
 //     uploads, at eps / w; the others republish their last report (0.5
 //     before their first upload). Each perturber keeps the full window
-//     budget eps: it uploads once every d slots, so any window of w slots
-//     still sums to eps across dimensions.
+//     budget eps over its own uploads, and the ledger records the
+//     strategy's nominal eps / w per global slot. That is each upload's
+//     real spend for the fixed-rate kinds (SW-direct, IPP, APP, CAPP). The
+//     adaptive kinds (BA-SW, ToPL) pace eps over w of their *own* uploads,
+//     which span d * w global slots, so their real spend in a window of w
+//     global slots can exceed eps while the ledger still reads eps.
 //
 // Streams are dim-major -- all of dimension 0's slots, then dimension
 // 1's, exactly the 0xC6 wire layout -- and each (dimension, slot) report
@@ -78,11 +82,12 @@ class MultidimPerturber {
     return inner_.front()->publication_smoothing_window();
   }
 
-  /// Optional shared (non-owned) ledger: window sums across *all*
-  /// dimensions must stay within the total budget. Under budget split,
-  /// and for a lone dimension, each inner perturber records its own
-  /// spends, so per-slot spends add across dimensions; under sample split
-  /// the strategy records eps / w at each global slot. nullptr detaches.
+  /// Optional shared (non-owned) ledger, summing spends across *all*
+  /// dimensions. Under budget split, and for a lone dimension, each inner
+  /// perturber records its own spends, so per-slot spends add across
+  /// dimensions. Under sample split with d >= 2 the strategy records the
+  /// nominal eps / w at each global slot, which under-records the adaptive
+  /// inner kinds (BA-SW, ToPL; see the header comment). nullptr detaches.
   void AttachAccountant(WEventAccountant* accountant);
 
   /// Clears all per-stream state and reseeds the perturbation RNG: the

@@ -227,12 +227,15 @@ TEST(MultidimPerturberTest, ReportsArePinned) {
 
 // The w-event ledger of every d-dimensional pipeline the fleet can run,
 // 3 users x 60 slots of the pin input at eps = 1, w = 10, one ledger per
-// user. No window ever overspends. Every slot spends exactly eps/w when
-// each upload does: the PP kinds and SW-direct under both strategies, and
-// every kind under sample split at d >= 2, whose ledger the strategy
-// writes. BA-SW and ToPL under budget split -- and at d = 1, where both
-// strategies are the inner algorithm recording its own spends -- spend
-// what their own policies spend, pinned per user.
+// user; every ledger passes VerifyBudget. The PP kinds and SW-direct
+// spend exactly eps/w per upload, so their windows sum to eps under both
+// strategies. Under sample split at d >= 2 the strategy writes the
+// nominal eps/w per global slot for every kind; for BA-SW and ToPL that
+// pins the ledger's value, not their real spend, which the ledger
+// under-records (see multidim_perturber.h). BA-SW and ToPL under budget
+// split -- and at d = 1, where both strategies are the inner algorithm
+// recording its own spends -- record what their own policies spend,
+// pinned per user.
 TEST(MultidimPerturberTest, LedgerAuditCoversEveryPipeline) {
   constexpr double kEps = 1.0;
   constexpr int kW = 10;
