@@ -12,8 +12,8 @@
 // (the "mum" primitive), and two interleaved lanes break the serial
 // dependency so the hash runs at a word per few cycles instead of eight
 // serial multiplies per word. The per-user hash changed, so every
-// committed digest changed once with it (see bench/baselines/README.md);
-// the XOR-combination -- and with it thread/transport/replay invariance
+// committed digest changed once with it (the scenario pins in the tests
+// record today's values); the XOR-combination -- and with it thread/transport/replay invariance
 // -- is unchanged.
 //
 // Header-only: the hash is called once per simulated user inside the

@@ -43,8 +43,8 @@ Result<SignalKind> ParseSignalKind(std::string_view name);
 /// budget epsilon/window) alongside its exact aggregates, so sliding-
 /// window SW-EM distribution reconstruction, crowd means, and trend
 /// detection run online -- no report matrix, works in aggregate-only
-/// mode. Off by default: histogram maintenance costs a few percent of
-/// ingest throughput (bench_analytics_throughput tracks it).
+/// mode. Off by default: histogram maintenance costs ingest time
+/// (perfbench's engine.hist_ns_per_report measures it).
 struct AnalyticsConfig {
   bool enabled = false;
   /// Resolution of the reconstructed input distribution over [0,1]; the
@@ -57,8 +57,8 @@ struct AnalyticsConfig {
 /// before the in-RAM collector, existing state under the directory is
 /// recovered on Fleet::Create, and (optionally) checkpoints bound the
 /// log's replay cost. Off by default -- the WAL costs throughput
-/// (bench_durability_throughput tracks how much per fsync policy) and
-/// simulation experiments rarely need to survive a crash.
+/// (perfbench's storage.wal_append_ns_per_report and storage.fsyncs
+/// measure it) and simulation experiments rarely need to survive a crash.
 struct DurabilityConfig {
   /// WAL directory; empty disables durability entirely.
   std::string dir;

@@ -64,8 +64,8 @@ inline void StorePackedSlot(std::atomic<uint64_t>* words,
 // the base to the line size makes slot-to-line mapping a pure function
 // of the slot index (slots t and t+1 share a line on a fixed 8-slot /
 // 5-line cadence) and lets the run walk stream through whole lines.
-// Measured with bench_transport_throughput's queue_owned row (200k
-// users x 50 slots, best of 5): 27.0M -> 31.2M reports/s.
+// Measured with the owned-shard ring transport (200k users x 50 slots,
+// best of 5): 27.0M -> 31.2M reports/s.
 template <typename T>
 AlignedAtomicArray<T> MakeAlignedZeroed(size_t n) {
   static_assert(std::is_trivially_destructible_v<T>,

@@ -40,6 +40,14 @@ Result<MultidimPerturber> MultidimPerturber::Create(
   CAPP_RETURN_IF_ERROR(ValidatePerturberOptions(options));
   if (dims == 0) return Status::InvalidArgument("dimensions must be >= 1");
   const bool budget_split = strategy == MultidimStrategy::kBudgetSplit;
+  // Adaptive inner kinds would overspend eps under sample split (header).
+  if (!budget_split && dims > 1 &&
+      (inner == AlgorithmKind::kBaSw || inner == AlgorithmKind::kTopl)) {
+    return Status::InvalidArgument(
+        "sample split at d >= 2 needs a fixed-rate inner algorithm; " +
+        std::string(AlgorithmKindName(inner)) +
+        " paces its budget over its own uploads and would overspend eps");
+  }
   PerturberOptions per_dim = options;
   if (budget_split) per_dim.epsilon /= static_cast<double>(dims);
   std::vector<std::unique_ptr<StreamPerturber>> perturbers;

@@ -9,13 +9,12 @@
 //     each dimension's perturber runs with window budget eps / d.
 //   * Sample-Split (SS): at slot t only dimension t mod d (round-robin)
 //     uploads, at eps / w; the others republish their last report (0.5
-//     before their first upload). Each perturber keeps the full window
-//     budget eps over its own uploads, and the ledger records the
-//     strategy's nominal eps / w per global slot. That is each upload's
-//     real spend for the fixed-rate kinds (SW-direct, IPP, APP, CAPP). The
-//     adaptive kinds (BA-SW, ToPL) pace eps over w of their *own* uploads,
-//     which span d * w global slots, so their real spend in a window of w
-//     global slots can exceed eps while the ledger still reads eps.
+//     before their first upload). The ledger records eps / w per global
+//     slot, each upload's real spend for the fixed-rate kinds (SW-direct,
+//     IPP, APP, CAPP). The adaptive kinds (BA-SW, ToPL) pace eps over w of
+//     their *own* uploads, which span d * w global slots, so their real
+//     spend in a window of w global slots would exceed eps: Create refuses
+//     them under sample split at d >= 2.
 //
 // Streams are dim-major -- all of dimension 0's slots, then dimension
 // 1's, exactly the 0xC6 wire layout -- and each (dimension, slot) report
@@ -64,7 +63,8 @@ class MultidimPerturber {
  public:
   /// `options.epsilon` is the total window budget across all dimensions;
   /// `inner` is the scalar algorithm each dimension runs and must be
-  /// online (the sampling kinds are refused). dims must be >= 1; at
+  /// online (the sampling kinds are refused), and fixed-rate under sample
+  /// split at dims >= 2 (BA-SW and ToPL are refused). dims must be >= 1; at
   /// dims = 1 both strategies are `inner` itself (budget split spends
   /// eps / 1, sample split's one dimension uploads every slot), and report
   /// exactly what a UserSession running it reports.
@@ -86,8 +86,8 @@ class MultidimPerturber {
   /// dimensions. Under budget split, and for a lone dimension, each inner
   /// perturber records its own spends, so per-slot spends add across
   /// dimensions. Under sample split with d >= 2 the strategy records the
-  /// nominal eps / w at each global slot, which under-records the adaptive
-  /// inner kinds (BA-SW, ToPL; see the header comment). nullptr detaches.
+  /// eps / w its active dimension's upload spends at each global slot.
+  /// nullptr detaches.
   void AttachAccountant(WEventAccountant* accountant);
 
   /// Clears all per-stream state and reseeds the perturbation RNG: the

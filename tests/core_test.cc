@@ -203,8 +203,8 @@ TEST(RngTest, ForkProducesIndependentStream) {
 TEST(StreamDigestTest, PinnedVectorsAnchorDigestV2) {
   // Known-answer vectors for the v2 (chunk/mum) per-user stream digest.
   // These constants ARE the digest definition: any change to the hash
-  // changes every committed baseline digest, which is a deliberate,
-  // documented event (see bench/baselines/README.md) -- never a silent
+  // changes every pinned scenario digest, which is a deliberate,
+  // documented event -- never a silent
   // side effect of a refactor. The inputs use only exactly-representable
   // doubles, so the expected values are platform-independent.
   const std::vector<double> stream = {0.0, 1.0, 0.5};

@@ -22,6 +22,7 @@
 #include "stream/gap_fill.h"
 #include "stream/report.h"
 #include "stream/session.h"
+#include "telemetry/metrics.h"
 #include "transport/wire_format.h"
 
 namespace capp {
@@ -842,15 +843,38 @@ EngineConfig SmallFleetConfig() {
   return config;
 }
 
+// Restores the process-wide telemetry switch when a test leaves scope.
+class ScopedTelemetry {
+ public:
+  explicit ScopedTelemetry(bool enabled) : saved_(telemetry::CurrentConfig()) {
+    telemetry::TelemetryConfig config = saved_;
+    config.enabled = enabled;
+    telemetry::Configure(config);
+  }
+  ~ScopedTelemetry() { telemetry::Configure(saved_); }
+
+ private:
+  telemetry::TelemetryConfig saved_;
+};
+
 TEST(FleetTest, PublishedStreamsBitIdenticalAcrossThreadCounts) {
   EngineStats baseline;
+  uint64_t baseline_state = 0;
   std::vector<std::vector<double>> baseline_streams;
   const std::vector<uint64_t> probes = {0, 1, 63, 64, 499};
 
-  for (int threads : {1, 4, 8}) {
-    SCOPED_TRACE(threads);
+  // The last input runs with telemetry on: instrumentation observes the
+  // pipeline and must never change what it publishes or aggregates.
+  const struct {
+    int threads;
+    bool telemetry;
+  } inputs[] = {{1, false}, {4, false}, {8, false}, {4, true}};
+  for (const auto& input : inputs) {
+    SCOPED_TRACE(input.threads);
+    SCOPED_TRACE(input.telemetry ? "telemetry on" : "telemetry off");
+    ScopedTelemetry telemetry(input.telemetry);
     EngineConfig config = SmallFleetConfig();
-    config.num_threads = threads;
+    config.num_threads = input.threads;
     auto fleet = Fleet::Create(config);
     ASSERT_TRUE(fleet.ok());
     auto stats = fleet->Run();
@@ -864,19 +888,84 @@ TEST(FleetTest, PublishedStreamsBitIdenticalAcrossThreadCounts) {
       ASSERT_TRUE(stream.ok());
       streams.push_back(*stream);
     }
-    if (threads == 1) {
+    const uint64_t state = CollectorStateDigest(fleet->collector());
+    if (input.threads == 1) {
       baseline = *stats;
+      baseline_state = state;
       baseline_streams = streams;
       continue;
     }
-    // The determinism contract: digests, error statistics, and the raw
-    // per-user streams are all bit-identical regardless of thread count.
+    // The determinism contract: digests, error statistics, the per-slot
+    // aggregates, and the raw per-user streams are all bit-identical
+    // regardless of thread count.
     EXPECT_EQ(stats->stream_digest, baseline.stream_digest);
     EXPECT_EQ(stats->mean_slot_mse, baseline.mean_slot_mse);
     EXPECT_EQ(stats->mean_abs_error, baseline.mean_abs_error);
+    EXPECT_EQ(state, baseline_state);
     for (size_t i = 0; i < probes.size(); ++i) {
       EXPECT_EQ(streams[i], baseline_streams[i]) << "user " << probes[i];
     }
+  }
+}
+
+// The fleet scenarios the former throughput baselines tracked, pinned:
+// the CAPP sinusoid fleet at eps 1, w 10, seed 1 -- the engine scenario,
+// the transport scenario every transport kind reproduces, the analytics
+// scenario with the histogram tier on, and the d in {1, 4, 10} x
+// {budget, sample} split grid (d = 1 carries one digest under both
+// strategy labels). A digest change must be deliberate: a documented
+// published-value bump that refreshes every pin.
+TEST(FleetTest, ScenarioDigestsArePinned) {
+  const struct {
+    size_t users;
+    size_t slots;
+    size_t dims;
+    MultidimStrategy strategy;
+    bool histograms;
+    uint64_t digest;
+  } pins[] = {
+      {10000, 50, 1, MultidimStrategy::kBudgetSplit, false,
+       0xa2462862eae5a645},
+      {50000, 20, 1, MultidimStrategy::kBudgetSplit, false,
+       0xecd66de2bb0831f6},
+      {50000, 50, 1, MultidimStrategy::kBudgetSplit, true,
+       0x1735496d3d2e4d87},
+      {20000, 20, 1, MultidimStrategy::kBudgetSplit, false,
+       0xb15c90f1e4dc8ea3},
+      {20000, 20, 1, MultidimStrategy::kSampleSplit, false,
+       0xb15c90f1e4dc8ea3},
+      {20000, 20, 4, MultidimStrategy::kBudgetSplit, false,
+       0xff3a4c84116d671f},
+      {20000, 20, 4, MultidimStrategy::kSampleSplit, false,
+       0xe90c739e8f0f4850},
+      {20000, 20, 10, MultidimStrategy::kBudgetSplit, false,
+       0x8cdcea88c5ab6482},
+      {20000, 20, 10, MultidimStrategy::kSampleSplit, false,
+       0x616046fe5d6dc251},
+  };
+  for (const auto& pin : pins) {
+    SCOPED_TRACE(testing::Message()
+                 << pin.users << " users x " << pin.slots << " slots, d="
+                 << pin.dims << " " << MultidimStrategyName(pin.strategy)
+                 << (pin.histograms ? ", histograms" : ""));
+    EngineConfig config;
+    config.algorithm = AlgorithmKind::kCapp;
+    config.signal = SignalKind::kSinusoid;
+    config.epsilon = 1.0;
+    config.window = 10;
+    config.seed = 1;
+    config.num_users = pin.users;
+    config.num_slots = pin.slots;
+    config.num_threads = 4;
+    config.dims = pin.dims;
+    config.multidim_strategy = pin.strategy;
+    config.analytics.enabled = pin.histograms;
+    config.keep_streams = false;
+    auto fleet = Fleet::Create(config);
+    ASSERT_TRUE(fleet.ok());
+    auto stats = fleet->Run();
+    ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+    EXPECT_EQ(stats->stream_digest, pin.digest);
   }
 }
 
@@ -908,32 +997,38 @@ TEST(FleetTest, DigestInvariantToChunkSizeAndShardCount) {
 }
 
 TEST(FleetTest, OwnedShardTransportMatchesMutexIngest) {
-  // The same scenario through the mutex-affinity and owned-shard queue
-  // transports: stream digest, error statistics, and the collector's
-  // order-independent state digest must all be bit-identical -- the
-  // owned mode changes the locking discipline, never the results.
-  EngineConfig config = SmallFleetConfig();
-  config.keep_streams = false;  // owned mode is aggregate-only
-  config.num_threads = 4;
-  config.transport.kind = TransportKind::kQueue;
-  config.transport.num_consumers = 2;
-  config.transport.shard_affinity = true;
+  // The same scenario through the mutex-affinity and owned-shard modes of
+  // every queued transport: stream digest, error statistics, and the
+  // collector's order-independent state digest must all be bit-identical
+  // -- the owned mode changes the locking discipline, never the results.
+  for (TransportKind kind : {TransportKind::kQueue,
+                             TransportKind::kQueueFramed,
+                             TransportKind::kSocket}) {
+    SCOPED_TRACE(TransportKindName(kind));
+    EngineConfig config = SmallFleetConfig();
+    config.keep_streams = false;  // owned mode is aggregate-only
+    config.num_threads = 4;
+    config.transport.kind = kind;
+    config.transport.num_consumers = 2;
+    config.transport.queue_capacity = 8;
+    config.transport.shard_affinity = true;
 
-  auto mutex_fleet = Fleet::Create(config);
-  config.transport.owned_shards = true;
-  auto owned_fleet = Fleet::Create(config);
-  ASSERT_TRUE(mutex_fleet.ok() && owned_fleet.ok());
-  auto mutex_stats = mutex_fleet->Run();
-  auto owned_stats = owned_fleet->Run();
-  ASSERT_TRUE(mutex_stats.ok() && owned_stats.ok());
+    auto mutex_fleet = Fleet::Create(config);
+    config.transport.owned_shards = true;
+    auto owned_fleet = Fleet::Create(config);
+    ASSERT_TRUE(mutex_fleet.ok() && owned_fleet.ok());
+    auto mutex_stats = mutex_fleet->Run();
+    auto owned_stats = owned_fleet->Run();
+    ASSERT_TRUE(mutex_stats.ok() && owned_stats.ok());
 
-  EXPECT_FALSE(mutex_stats->owned_shards);
-  EXPECT_TRUE(owned_stats->owned_shards);
-  EXPECT_EQ(owned_stats->reports, mutex_stats->reports);
-  EXPECT_EQ(owned_stats->stream_digest, mutex_stats->stream_digest);
-  EXPECT_EQ(owned_stats->mean_slot_mse, mutex_stats->mean_slot_mse);
-  EXPECT_EQ(CollectorStateDigest(owned_fleet->collector()),
-            CollectorStateDigest(mutex_fleet->collector()));
+    EXPECT_FALSE(mutex_stats->owned_shards);
+    EXPECT_TRUE(owned_stats->owned_shards);
+    EXPECT_EQ(owned_stats->reports, mutex_stats->reports);
+    EXPECT_EQ(owned_stats->stream_digest, mutex_stats->stream_digest);
+    EXPECT_EQ(owned_stats->mean_slot_mse, mutex_stats->mean_slot_mse);
+    EXPECT_EQ(CollectorStateDigest(owned_fleet->collector()),
+              CollectorStateDigest(mutex_fleet->collector()));
+  }
 }
 
 TEST(FleetTest, DifferentSeedsDiffer) {

@@ -173,10 +173,18 @@ TEST(SampleSplitTest, ResetRestartsRoundRobin) {
   EXPECT_GT(ledger.SlotSpend(0), 0.0);  // slot counter restarted at 0
 }
 
+// True for the combinations Create refuses: BA-SW and ToPL under sample
+// split at d >= 2 (see RefusesAdaptiveInnerUnderSampleSplit).
+bool Refused(size_t dims, MultidimStrategy strategy, AlgorithmKind inner) {
+  return dims > 1 && strategy == MultidimStrategy::kSampleSplit &&
+         (inner == AlgorithmKind::kBaSw || inner == AlgorithmKind::kTopl);
+}
+
 // Every (d, strategy, inner) combination, pinned: XOR over users
 // u = 0..2 of UserStreamDigest(u, reports) for 60 slots of the pin input
 // after ResetForUser(1000 + u) -- the reports of the per-strategy classes
-// MultidimPerturber replaced.
+// MultidimPerturber replaced. The refused combinations check the refusal
+// instead (their digest slot is 0).
 TEST(MultidimPerturberTest, ReportsArePinned) {
   struct Pin {
     size_t dims;
@@ -189,19 +197,19 @@ TEST(MultidimPerturberTest, ReportsArePinned) {
         0x7d2f0e4e4ed3ff6c, 0xba8a7c43b26d8a26, 0xd8ba5df6cf00fa31}},
       {2, MultidimStrategy::kSampleSplit,
        {0x407c0dc2f8efa193, 0x236d074ac00df4bc, 0x5984709a3849a113,
-        0x4cf899bea5b7e264, 0x98683a7466adb7a8, 0x544f9e6ecf81d6b7}},
+        0x4cf899bea5b7e264, 0, 0}},
       {3, MultidimStrategy::kBudgetSplit,
        {0x563c1701fa864d3e, 0x4484545349d0203a, 0x42702af8fa81f95d,
         0xa83c298c5a361d23, 0x302e994bb1757ecb, 0xe2236921f66f71c2}},
       {3, MultidimStrategy::kSampleSplit,
        {0x155ee5b7b1f68693, 0xa29d80fdf0b5c51f, 0x791600d9bd64d24c,
-        0x9497ad42bd8144a7, 0x4ff906863f09fc34, 0xc8eaf2fb7d2b2aed}},
+        0x9497ad42bd8144a7, 0, 0}},
       {4, MultidimStrategy::kBudgetSplit,
        {0xb5a5d2f8e736b7bd, 0x3651c0968acf7771, 0x930721ced802ed91,
         0x79ca6ce3ba2a2024, 0x22a61e8858ee1bc7, 0x365fe04dd65417c4}},
       {4, MultidimStrategy::kSampleSplit,
        {0x57ca45fa09285937, 0x685b95d41fc1da0e, 0x18dec2520f865783,
-        0xbd32c45a54b7bbd3, 0x89e0a61b5e65dc0a, 0x15799e666dd64eb4}},
+        0xbd32c45a54b7bbd3, 0, 0}},
   };
   constexpr size_t kSlots = 60;
   for (const Pin& pin : pins) {
@@ -211,6 +219,12 @@ TEST(MultidimPerturberTest, ReportsArePinned) {
                    << "d=" << pin.dims << " "
                    << MultidimStrategyName(pin.strategy) << " "
                    << AlgorithmKindName(kOnlineKinds[i]));
+      if (Refused(pin.dims, pin.strategy, kOnlineKinds[i])) {
+        EXPECT_FALSE(MultidimPerturber::Create(pin.dims, pin.strategy,
+                                               {1.0, 10}, kOnlineKinds[i])
+                         .ok());
+        continue;
+      }
       MultidimPerturber perturber =
           MustCreate(pin.dims, pin.strategy, {1.0, 10}, kOnlineKinds[i]);
       uint64_t digest = 0;
@@ -229,13 +243,10 @@ TEST(MultidimPerturberTest, ReportsArePinned) {
 // 3 users x 60 slots of the pin input at eps = 1, w = 10, one ledger per
 // user; every ledger passes VerifyBudget. The PP kinds and SW-direct
 // spend exactly eps/w per upload, so their windows sum to eps under both
-// strategies. Under sample split at d >= 2 the strategy writes the
-// nominal eps/w per global slot for every kind; for BA-SW and ToPL that
-// pins the ledger's value, not their real spend, which the ledger
-// under-records (see multidim_perturber.h). BA-SW and ToPL under budget
-// split -- and at d = 1, where both strategies are the inner algorithm
-// recording its own spends -- record what their own policies spend,
-// pinned per user.
+// strategies. BA-SW and ToPL under budget split -- and at d = 1, where
+// both strategies are the inner algorithm recording its own spends --
+// record what their own policies spend, pinned per user; under sample
+// split at d >= 2 they are refused.
 TEST(MultidimPerturberTest, LedgerAuditCoversEveryPipeline) {
   constexpr double kEps = 1.0;
   constexpr int kW = 10;
@@ -253,6 +264,11 @@ TEST(MultidimPerturberTest, LedgerAuditCoversEveryPipeline) {
         SCOPED_TRACE(testing::Message()
                      << "d=" << dims << " " << MultidimStrategyName(strategy)
                      << " " << AlgorithmKindName(kind));
+        if (Refused(dims, strategy, kind)) {
+          EXPECT_FALSE(
+              MultidimPerturber::Create(dims, strategy, {kEps, kW}, kind).ok());
+          continue;
+        }
         MultidimPerturber perturber =
             MustCreate(dims, strategy, {kEps, kW}, kind);
         std::vector<double> out;
@@ -263,8 +279,7 @@ TEST(MultidimPerturberTest, LedgerAuditCoversEveryPipeline) {
           perturber.PerturbStream(truth, kSlots, out);
           EXPECT_TRUE(ledger.VerifyBudget(kW, kEps).ok()) << "user " << u;
           const bool own_policy =
-              (kind == AlgorithmKind::kBaSw || kind == AlgorithmKind::kTopl) &&
-              (strategy == MultidimStrategy::kBudgetSplit || dims == 1);
+              kind == AlgorithmKind::kBaSw || kind == AlgorithmKind::kTopl;
           double expected = kEps;
           if (own_policy) {
             expected = kind == AlgorithmKind::kTopl ? 0.5 : ba_sw[dims - 1][u];
@@ -301,6 +316,38 @@ TEST(MultidimPerturberTest, RefusesOfflineInnerAlgorithms) {
         EXPECT_EQ(created.status().code(), StatusCode::kInvalidArgument);
       }
     }
+  }
+}
+
+// Regression: under sample split at d >= 2, BA-SW and ToPL pace eps over
+// w of their own uploads, which span d * w global slots -- BA-SW's real
+// spend in a w-slot window reached 1.30/1.40/1.40 eps at d = 2/3/4 while
+// the strategy's ledger read eps. Both the perturber and the fleet refuse
+// the combination; budget split and d = 1 still run them.
+TEST(MultidimPerturberTest, RefusesAdaptiveInnerUnderSampleSplit) {
+  for (AlgorithmKind inner : {AlgorithmKind::kBaSw, AlgorithmKind::kTopl}) {
+    SCOPED_TRACE(AlgorithmKindName(inner));
+    for (size_t dims : {size_t{2}, size_t{3}, size_t{4}}) {
+      SCOPED_TRACE(dims);
+      auto created = MultidimPerturber::Create(
+          dims, MultidimStrategy::kSampleSplit, {1.0, 10}, inner);
+      ASSERT_FALSE(created.ok());
+      EXPECT_EQ(created.status().code(), StatusCode::kInvalidArgument);
+      EXPECT_TRUE(MultidimPerturber::Create(
+                      dims, MultidimStrategy::kBudgetSplit, {1.0, 10}, inner)
+                      .ok());
+
+      EngineConfig config;
+      config.algorithm = inner;
+      config.dims = dims;
+      config.multidim_strategy = MultidimStrategy::kSampleSplit;
+      auto fleet = Fleet::Create(config);
+      ASSERT_FALSE(fleet.ok());
+      EXPECT_EQ(fleet.status().code(), StatusCode::kInvalidArgument);
+    }
+    EXPECT_TRUE(MultidimPerturber::Create(1, MultidimStrategy::kSampleSplit,
+                                          {1.0, 10}, inner)
+                    .ok());
   }
 }
 

@@ -757,28 +757,80 @@ EngineConfig SmallFleetConfig() {
   return config;
 }
 
+// Replays a fleet's sealed WAL into a fresh collector and returns the
+// recovered aggregate digest: the log alone must rebuild the live state.
+uint64_t RecoveredDigest(const EngineConfig& config) {
+  ShardedCollectorOptions collector_options;
+  collector_options.num_shards = config.num_shards;
+  collector_options.keep_streams = false;
+  auto collector = ShardedCollector::Create(collector_options);
+  EXPECT_TRUE(collector.ok());
+  DurableCollectorOptions durable_options;
+  durable_options.wal.dir = config.durability.dir;
+  durable_options.wal.fingerprint = EngineConfigFingerprint(config);
+  auto durable = DurableCollector::Create(&*collector, durable_options);
+  EXPECT_TRUE(durable.ok()) << durable.status().ToString();
+  return CollectorStateDigest(*collector);
+}
+
+// Every fsync policy: the WAL tee changes neither the published streams
+// nor the live aggregates, and each policy's log recovers to exactly the
+// live aggregate digest.
 TEST(DurableFleetTest, WalOnMatchesWalOffBitForBit) {
   EngineConfig off_config = SmallFleetConfig();
   auto off = Fleet::Create(off_config);
   ASSERT_TRUE(off.ok());
   auto off_stats = off->Run();
   ASSERT_TRUE(off_stats.ok()) << off_stats.status().ToString();
-
-  TempDir dir;
-  EngineConfig on_config = SmallFleetConfig();
-  on_config.durability.dir = dir.path();
-  on_config.durability.fsync_policy = WalFsyncPolicy::kPerFrames;
-  on_config.durability.fsync_every_frames = 256;
-  auto on = Fleet::Create(on_config);
-  ASSERT_TRUE(on.ok()) << on.status().ToString();
-  auto on_stats = on->Run();
-  ASSERT_TRUE(on_stats.ok()) << on_stats.status().ToString();
-
-  EXPECT_EQ(on_stats->stream_digest, off_stats->stream_digest);
-  EXPECT_EQ(CollectorStateDigest(on->backend()),
-            CollectorStateDigest(off->backend()));
-  EXPECT_EQ(on_stats->wal.frames_appended, on_config.num_users);
   EXPECT_EQ(off_stats->wal.frames_appended, 0u);
+  const uint64_t off_digest = CollectorStateDigest(off->backend());
+
+  for (WalFsyncPolicy policy : {WalFsyncPolicy::kPerRun,
+                                WalFsyncPolicy::kPerFrames,
+                                WalFsyncPolicy::kTimed}) {
+    SCOPED_TRACE(WalFsyncPolicyName(policy));
+    TempDir dir;
+    EngineConfig on_config = SmallFleetConfig();
+    on_config.durability.dir = dir.path();
+    on_config.durability.fsync_policy = policy;
+    on_config.durability.fsync_every_frames = 256;
+    on_config.durability.fsync_interval_ms = 5;
+    {
+      auto on = Fleet::Create(on_config);
+      ASSERT_TRUE(on.ok()) << on.status().ToString();
+      auto on_stats = on->Run();
+      ASSERT_TRUE(on_stats.ok()) << on_stats.status().ToString();
+      EXPECT_EQ(on_stats->stream_digest, off_stats->stream_digest);
+      EXPECT_EQ(CollectorStateDigest(on->backend()), off_digest);
+      EXPECT_EQ(on_stats->wal.frames_appended, on_config.num_users);
+      EXPECT_GT(on_stats->wal.fsyncs, 0u);
+      // ~Fleet seals the log before it is replayed below.
+    }
+    EXPECT_EQ(RecoveredDigest(on_config), off_digest);
+  }
+}
+
+// The durability scenario the throughput baseline tracked, pinned: 50k
+// users x 20 slots of the default CAPP fleet (seed 1) logging through the
+// default per-1024-frames policy, live and after replay.
+TEST(DurableFleetTest, DurabilityScenarioDigestIsPinned) {
+  TempDir dir;
+  EngineConfig config;
+  config.num_users = 50000;
+  config.num_slots = 20;
+  config.num_threads = 4;
+  config.seed = 1;
+  config.keep_streams = false;
+  config.durability.dir = dir.path();
+  config.durability.fsync_policy = WalFsyncPolicy::kPerFrames;
+  config.durability.fsync_every_frames = 1024;
+  {
+    auto fleet = Fleet::Create(config);
+    ASSERT_TRUE(fleet.ok()) << fleet.status().ToString();
+    ASSERT_TRUE(fleet->Run().ok());
+    EXPECT_EQ(CollectorStateDigest(fleet->backend()), 0x4c9e651a6d7da340u);
+  }
+  EXPECT_EQ(RecoveredDigest(config), 0x4c9e651a6d7da340u);
 }
 
 TEST(DurableFleetTest, ResumedFleetRecoversAndDedups) {

@@ -1634,64 +1634,103 @@ TEST(TcpEndpointTest, ParsesAndRejects) {
   EXPECT_FALSE(ParseTcpEndpoint("host:12x").ok());
 }
 
-TEST(TcpTransportTest, TcpLoopbackDigestMatchesInProcess) {
-  // The tentpole contract in miniature: a client-mode hub streaming over
-  // real TCP (ephemeral port on 127.0.0.1) produces a server collector
-  // bit-identical to ingesting the same runs in-process.
-  auto publish_all = [](TransportHub& hub) {
-    auto producer = hub.MakeProducer();
-    Rng rng(99);
-    for (uint64_t user = 0; user < 200; ++user) {
-      std::vector<double> run;
-      for (int t = 0; t < 8; ++t) run.push_back(rng.Uniform(0.0, 1.0));
-      producer.Publish(user, 0, run);
-    }
-  };
+// The striped-socket scenario's runs: user u publishes `slots` uniforms
+// drawn from Rng(1000003 + u).
+void FillStripedRun(uint64_t user, size_t slots, std::vector<double>& run) {
+  Rng rng(1000003 + user);
+  run.clear();
+  for (size_t t = 0; t < slots; ++t) run.push_back(rng.Uniform(0.0, 1.0));
+}
 
-  // Oracle: the same runs through a direct hub.
-  auto oracle = ShardedCollector::Create({.keep_streams = false});
-  ASSERT_TRUE(oracle.ok());
-  {
-    TransportOptions direct;
-    direct.kind = TransportKind::kDirect;
-    auto hub = TransportHub::Create(&*oracle, direct);
-    ASSERT_TRUE(hub.ok());
-    publish_all(**hub);
-    ASSERT_TRUE((*hub)->Drain().ok());
+// The oracle: every user's run ingested in-process, in user order.
+uint64_t DirectIngestDigest(size_t users, size_t slots) {
+  auto collector = ShardedCollector::Create({.keep_streams = false});
+  EXPECT_TRUE(collector.ok());
+  std::vector<double> run;
+  for (uint64_t user = 0; user < users; ++user) {
+    FillStripedRun(user, slots, run);
+    collector->IngestUserRun(user, 0, run);
   }
+  return CollectorStateDigest(*collector);
+}
 
-  // Server on an ephemeral TCP port.
-  auto server_collector = ShardedCollector::Create({.keep_streams = false});
-  ASSERT_TRUE(server_collector.ok());
-  SocketCollectorServer::Options server_options;
-  server_options.tcp_host = "127.0.0.1";
-  server_options.tcp_port = 0;
-  server_options.num_consumers = 2;
-  auto server =
-      SocketCollectorServer::Create(&*server_collector, server_options);
-  ASSERT_TRUE(server.ok()) << server.status().ToString();
-  ASSERT_GT((*server)->tcp_port(), 0);
+// A client-mode hub striping four producers' runs over 1, 2 and 4
+// connections -- on the unix-socket family and on real TCP (ephemeral
+// port on 127.0.0.1) -- produces a server collector bit-identical to
+// ingesting the same runs in-process.
+TEST(SocketTransportTest, StripedLoopbackDigestMatchesInProcess) {
+  constexpr size_t kUsers = 2000;
+  constexpr size_t kSlots = 20;
+  constexpr uint64_t kProducers = 4;
+  const uint64_t oracle = DirectIngestDigest(kUsers, kSlots);
+  for (bool tcp : {false, true}) {
+    for (int streams : {1, 2, 4}) {
+      SCOPED_TRACE(tcp ? "tcp" : "unix");
+      SCOPED_TRACE(streams);
+      auto server_collector =
+          ShardedCollector::Create({.keep_streams = false});
+      ASSERT_TRUE(server_collector.ok());
+      SocketCollectorServer::Options server_options;
+      if (tcp) {
+        server_options.tcp_host = "127.0.0.1";
+        server_options.tcp_port = 0;
+      } else {
+        server_options.socket_path = MakeLoopbackSocketPath();
+      }
+      server_options.num_consumers = 2;
+      server_options.max_batch_runs = 16;
+      auto server =
+          SocketCollectorServer::Create(&*server_collector, server_options);
+      ASSERT_TRUE(server.ok()) << server.status().ToString();
 
-  auto local_collector = ShardedCollector::Create({.keep_streams = false});
-  ASSERT_TRUE(local_collector.ok());
-  TransportOptions options;
-  options.kind = TransportKind::kSocket;
-  options.tcp_host = "127.0.0.1";
-  options.tcp_port = (*server)->tcp_port();
-  options.connect_streams = 2;
-  auto hub = TransportHub::Create(&*local_collector, options);
-  ASSERT_TRUE(hub.ok()) << hub.status().ToString();
-  publish_all(**hub);
-  ASSERT_TRUE((*hub)->Drain().ok());
-  (*server)->WaitForCompletedSessions(1);
-  const Status finished = (*server)->Finish();
-  ASSERT_TRUE(finished.ok()) << finished.ToString();
+      auto local_collector =
+          ShardedCollector::Create({.keep_streams = false});
+      ASSERT_TRUE(local_collector.ok());
+      TransportOptions options;
+      options.kind = TransportKind::kSocket;
+      if (tcp) {
+        ASSERT_GT((*server)->tcp_port(), 0);
+        options.tcp_host = "127.0.0.1";
+        options.tcp_port = (*server)->tcp_port();
+      } else {
+        options.socket_path = server_options.socket_path;
+      }
+      options.connect_streams = streams;
+      options.num_consumers = 2;
+      options.max_batch_runs = 16;
+      auto hub = TransportHub::Create(&*local_collector, options);
+      ASSERT_TRUE(hub.ok()) << hub.status().ToString();
+      std::vector<std::thread> producers;
+      for (uint64_t p = 0; p < kProducers; ++p) {
+        producers.emplace_back([&hub, p] {
+          auto producer = (*hub)->MakeProducer();
+          std::vector<double> run;
+          for (uint64_t user = p; user < kUsers; user += kProducers) {
+            FillStripedRun(user, kSlots, run);
+            producer.Publish(user, 0, run);
+          }
+        });
+      }
+      for (std::thread& t : producers) t.join();
+      ASSERT_TRUE((*hub)->Drain().ok());
+      (*server)->WaitForCompletedSessions(1);
+      const Status finished = (*server)->Finish();
+      ASSERT_TRUE(finished.ok()) << finished.ToString();
 
-  EXPECT_EQ(local_collector->report_count(), 0u);
-  EXPECT_EQ(server_collector->user_count(), 200u);
-  EXPECT_EQ(CollectorStateDigest(*server_collector),
-            CollectorStateDigest(*oracle));
-  EXPECT_EQ((*server)->stats().stream_errors, 0u);
+      EXPECT_EQ(local_collector->report_count(), 0u);
+      EXPECT_EQ(server_collector->user_count(), kUsers);
+      EXPECT_EQ(CollectorStateDigest(*server_collector), oracle);
+      EXPECT_EQ((*server)->stats().connections,
+                static_cast<uint64_t>(streams));
+      EXPECT_EQ((*server)->stats().stream_errors, 0u);
+    }
+  }
+}
+
+// The striped-socket scenario the saturation baseline tracked (200k users
+// x 50 slots), pinned at its in-process oracle.
+TEST(SocketTransportTest, SaturationScenarioDigestIsPinned) {
+  EXPECT_EQ(DirectIngestDigest(200000, 50), 0x689fffdc0e1a28c6u);
 }
 
 // ------------------------------------------------ reconnect with resume ----
@@ -1860,18 +1899,49 @@ FleetObservation RunFleet(EngineConfig config) {
   EXPECT_TRUE(fleet.ok());
   auto stats = fleet->Run();
   EXPECT_TRUE(stats.ok()) << stats.status().ToString();
-  auto histograms = fleet->collector().PopulationSlotHistograms();
-  EXPECT_TRUE(histograms.ok());
-  return {*stats, fleet->collector().PopulationSlotAggregates(),
-          std::move(*histograms), fleet->collector().report_count()};
+  FleetObservation observation{*stats,
+                               fleet->collector().PopulationSlotAggregates(),
+                               {}, fleet->collector().report_count()};
+  if (config.analytics.enabled) {
+    auto histograms = fleet->collector().PopulationSlotHistograms();
+    EXPECT_TRUE(histograms.ok());
+    observation.histograms = std::move(*histograms);
+  }
+  return observation;
+}
+
+// Everything a fleet publishes and aggregates, bit for bit (the
+// histogram bins are compared by the callers that run the tier).
+void ExpectSameFleetOutput(const FleetObservation& run,
+                           const FleetObservation& baseline) {
+  EXPECT_EQ(run.stats.stream_digest, baseline.stats.stream_digest);
+  EXPECT_EQ(run.stats.mean_slot_mse, baseline.stats.mean_slot_mse);
+  ASSERT_EQ(run.stats.per_dim_mse.size(), baseline.stats.per_dim_mse.size());
+  for (size_t k = 0; k < run.stats.per_dim_mse.size(); ++k) {
+    EXPECT_EQ(std::bit_cast<uint64_t>(run.stats.per_dim_mse[k]),
+              std::bit_cast<uint64_t>(baseline.stats.per_dim_mse[k]))
+        << "dim " << k;
+  }
+  EXPECT_EQ(run.report_count, baseline.report_count);
+  ASSERT_EQ(run.aggregates.size(), baseline.aggregates.size());
+  for (size_t c = 0; c < run.aggregates.size(); ++c) {
+    EXPECT_EQ(run.aggregates[c].Count(), baseline.aggregates[c].Count())
+        << "cell " << c;
+    EXPECT_EQ(std::bit_cast<uint64_t>(run.aggregates[c].Mean()),
+              std::bit_cast<uint64_t>(baseline.aggregates[c].Mean()))
+        << "cell " << c;
+    EXPECT_EQ(std::bit_cast<uint64_t>(run.aggregates[c].M2()),
+              std::bit_cast<uint64_t>(baseline.aggregates[c].M2()))
+        << "cell " << c;
+  }
 }
 
 // The headline acceptance test: digests AND collector aggregates are
 // bit-identical between kDirect, kQueue, kQueueFramed, and kSocket for
-// every producer x consumer mix, with shard affinity on or off.
-// Exactness of the aggregates comes from SlotAggregate's integer
-// accumulation; the digest is already computed producer-side from
-// per-user streams.
+// every producer x consumer mix, with shard affinity on or off, and with
+// the histogram tier on or off. Exactness of the aggregates comes from
+// SlotAggregate's integer accumulation; the digest is already computed
+// producer-side from per-user streams.
 TEST(TransportDeterminismTest, BitIdenticalAcrossKindsAndThreadMixes) {
   for (AlgorithmKind algorithm :
        {AlgorithmKind::kCapp, AlgorithmKind::kIpp, AlgorithmKind::kApp}) {
@@ -1879,6 +1949,14 @@ TEST(TransportDeterminismTest, BitIdenticalAcrossKindsAndThreadMixes) {
     const FleetObservation baseline =
         RunFleet(TransportFleetConfig(algorithm));
     ASSERT_FALSE(baseline.aggregates.empty());
+    {
+      // The histogram tier only observes ingest: switching it off changes
+      // no published value and no aggregate.
+      SCOPED_TRACE("histograms off");
+      EngineConfig config = TransportFleetConfig(algorithm);
+      config.analytics.enabled = false;
+      ExpectSameFleetOutput(RunFleet(config), baseline);
+    }
 
     for (int producers : {1, 4, 8}) {
       for (TransportKind kind :
@@ -1900,26 +1978,7 @@ TEST(TransportDeterminismTest, BitIdenticalAcrossKindsAndThreadMixes) {
             config.transport.max_batch_runs = 16;
             config.transport.shard_affinity = affinity;
             const FleetObservation run = RunFleet(config);
-
-            EXPECT_EQ(run.stats.stream_digest,
-                      baseline.stats.stream_digest);
-            EXPECT_EQ(run.stats.mean_slot_mse,
-                      baseline.stats.mean_slot_mse);
-            EXPECT_EQ(run.report_count, baseline.report_count);
-            ASSERT_EQ(run.aggregates.size(), baseline.aggregates.size());
-            for (size_t t = 0; t < run.aggregates.size(); ++t) {
-              EXPECT_EQ(run.aggregates[t].Count(),
-                        baseline.aggregates[t].Count())
-                  << "slot " << t;
-              EXPECT_EQ(std::bit_cast<uint64_t>(run.aggregates[t].Mean()),
-                        std::bit_cast<uint64_t>(
-                            baseline.aggregates[t].Mean()))
-                  << "slot " << t;
-              EXPECT_EQ(std::bit_cast<uint64_t>(run.aggregates[t].M2()),
-                        std::bit_cast<uint64_t>(
-                            baseline.aggregates[t].M2()))
-                  << "slot " << t;
-            }
+            ExpectSameFleetOutput(run, baseline);
             // Histogram bins are integer counts of a pure per-value bin
             // function, so every bin must match exactly -- the streaming
             // analytics tier inherits the transport determinism contract.
@@ -1974,30 +2033,7 @@ TEST(TransportDeterminismTest, MultiDimBitIdenticalAcrossKindsAndModes) {
             config.transport.shard_affinity = affinity;
             config.transport.owned_shards = owned;
             const FleetObservation run = RunFleet(config);
-
-            EXPECT_EQ(run.stats.stream_digest,
-                      baseline.stats.stream_digest);
-            EXPECT_EQ(run.stats.mean_slot_mse,
-                      baseline.stats.mean_slot_mse);
-            ASSERT_EQ(run.stats.per_dim_mse.size(),
-                      baseline.stats.per_dim_mse.size());
-            for (size_t k = 0; k < run.stats.per_dim_mse.size(); ++k) {
-              EXPECT_EQ(std::bit_cast<uint64_t>(run.stats.per_dim_mse[k]),
-                        std::bit_cast<uint64_t>(
-                            baseline.stats.per_dim_mse[k]))
-                  << "dim " << k;
-            }
-            EXPECT_EQ(run.report_count, baseline.report_count);
-            ASSERT_EQ(run.aggregates.size(), baseline.aggregates.size());
-            for (size_t t = 0; t < run.aggregates.size(); ++t) {
-              EXPECT_EQ(run.aggregates[t].Count(),
-                        baseline.aggregates[t].Count())
-                  << "cell " << t;
-              EXPECT_EQ(std::bit_cast<uint64_t>(run.aggregates[t].Mean()),
-                        std::bit_cast<uint64_t>(
-                            baseline.aggregates[t].Mean()))
-                  << "cell " << t;
-            }
+            ExpectSameFleetOutput(run, baseline);
             EXPECT_EQ(run.histograms, baseline.histograms);
           }
         }
