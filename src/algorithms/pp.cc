@@ -1,7 +1,8 @@
 #include "algorithms/pp.h"
 
+#include <algorithm>
+
 #include "core/math_utils.h"
-#include "mechanisms/square_wave.h"
 
 namespace capp {
 
@@ -93,6 +94,78 @@ void SwChunk(std::span<const double> in, std::span<double> out, Rng& rng,
   deviation = memory;
 }
 
+// One block holds about this many (u1, u2) pairs; 128 reports -> 2 KiB.
+constexpr size_t kLaneBlockReports = 128;
+
+// PpLanes::PerturbSlots's kernel. Each block of max(1, 128 / d) slots
+// draws its uniforms at once, slot-major then lane, exactly the per-slot
+// loop's draws; the lanes are independent, so each then walks the block
+// on its own, reading its pairs at stride 2d with its memory in a
+// register, as SwChunk does. (Stepping the lanes slot by slot instead,
+// to overlap their memory chains, measured slower at d = 4: the SW
+// selects compile to branches, and their mispredictions, not the chain,
+// bound the loop.)
+template <bool kAccumulate>
+void LaneSlots(std::span<const double> truth, size_t slots,
+               std::span<double> out, Rng& rng, const SwBatchPlan& plan,
+               ClipBounds bounds, std::span<double> deviation,
+               std::span<double> uniforms) {
+  const SwParams params = plan.params;
+  const double near_mass = plan.near_mass;
+  const size_t dims = deviation.size();
+  const size_t block_slots = uniforms.size() / (2 * dims);
+  for (size_t begin = 0; begin < slots; begin += block_slots) {
+    const size_t count = std::min(slots - begin, block_slots);
+    rng.FillUniform(uniforms.first(2 * dims * count));
+    for (size_t k = 0; k < dims; ++k) {
+      const double* in = truth.data() + k * slots + begin;
+      double* lane_out = out.data() + k * slots + begin;
+      const double* u = uniforms.data() + 2 * k;
+      double memory = deviation[k];
+      for (size_t i = 0; i < count; ++i, u += 2 * dims) {
+        const double u1 = u[0];
+        const double u2 = u[1];
+        lane_out[i] = Step<kAccumulate>(
+            SanitizeUnitValue(in[i]), memory, bounds, [&](double v) {
+              return SwSampleFromUniforms(params, near_mass, v, u1, u2);
+            });
+      }
+      deviation[k] = memory;
+    }
+  }
+}
+
+// PpLanes::PerturbRoundRobin's kernel: one (u1, u2) pair per slot, for
+// the slot's one active lane.
+template <bool kAccumulate>
+void LaneRoundRobin(std::span<const double> truth, size_t slots,
+                    size_t first_slot, std::span<double> last_report,
+                    std::span<double> out, Rng& rng, const SwBatchPlan& plan,
+                    ClipBounds bounds, std::span<double> deviation,
+                    std::span<double> uniforms) {
+  const SwParams params = plan.params;
+  const double near_mass = plan.near_mass;
+  const size_t dims = deviation.size();
+  const size_t block_slots = uniforms.size() / 2;
+  size_t active = first_slot % dims;
+  for (size_t begin = 0; begin < slots; begin += block_slots) {
+    const size_t count = std::min(slots - begin, block_slots);
+    rng.FillUniform(uniforms.first(2 * count));
+    for (size_t i = 0; i < count; ++i) {
+      const size_t t = begin + i;
+      const double u1 = uniforms[2 * i];
+      const double u2 = uniforms[2 * i + 1];
+      last_report[active] = Step<kAccumulate>(
+          SanitizeUnitValue(truth[active * slots + t]), deviation[active],
+          bounds, [&](double v) {
+            return SwSampleFromUniforms(params, near_mass, v, u1, u2);
+          });
+      for (size_t k = 0; k < dims; ++k) out[k * slots + t] = last_report[k];
+      if (++active == dims) active = 0;
+    }
+  }
+}
+
 }  // namespace
 
 double PpPerturber::DoProcessValue(double x, Rng& rng) {
@@ -107,18 +180,91 @@ double PpPerturber::DoProcessValue(double x, Rng& rng) {
 
 void PpPerturber::DoProcessChunk(std::span<const double> in,
                                  std::span<double> out, Rng& rng) {
-  const std::optional<SwBatchPlan> plan = PlanSwBatch(mechanism_.get());
-  if (!plan) {
+  if (!sw_plan_) {
     StreamPerturber::DoProcessChunk(in, out, rng);
     return;
   }
   RecordSpendRun(in.size(), mechanism_->epsilon());
   if (kind_ == PpKind::kIpp) {
-    SwChunk<false>(in, out, rng, *plan, bounds_, deviation_);
+    SwChunk<false>(in, out, rng, *sw_plan_, bounds_, deviation_);
   } else {
-    SwChunk<true>(in, out, rng, *plan, bounds_, deviation_);
+    SwChunk<true>(in, out, rng, *sw_plan_, bounds_, deviation_);
   }
   AdvanceSlots(in.size());
+}
+
+std::optional<PpLanes> PpLanes::Create(
+    std::span<const std::unique_ptr<StreamPerturber>> perturbers) {
+  std::vector<PpPerturber*> lanes;
+  lanes.reserve(perturbers.size());
+  for (const auto& p : perturbers) {
+    auto* pp = dynamic_cast<PpPerturber*>(p.get());
+    if (pp == nullptr || !pp->sw_plan_) return std::nullopt;
+    const PpPerturber& first = lanes.empty() ? *pp : *lanes.front();
+    if (pp->kind_ != first.kind_ || pp->bounds_.l != first.bounds_.l ||
+        pp->bounds_.u != first.bounds_.u ||
+        pp->mechanism_->epsilon() != first.mechanism_->epsilon()) {
+      return std::nullopt;
+    }
+    lanes.push_back(pp);
+  }
+  if (lanes.empty()) return std::nullopt;
+  return PpLanes(std::move(lanes));
+}
+
+PpLanes::PpLanes(std::vector<PpPerturber*> lanes)
+    : lanes_(std::move(lanes)), deviation_(lanes_.size()),
+      uniforms_(2 * std::max(kLaneBlockReports, lanes_.size())) {}
+
+void PpLanes::LoadDeviations() {
+  for (size_t k = 0; k < lanes_.size(); ++k) {
+    deviation_[k] = lanes_[k]->deviation_;
+  }
+}
+
+void PpLanes::SettleLane(size_t k, size_t uploads) {
+  PpPerturber& lane = *lanes_[k];
+  lane.deviation_ = deviation_[k];
+  lane.RecordSpendRun(uploads, lane.mechanism_->epsilon());
+  lane.AdvanceSlots(uploads);
+}
+
+void PpLanes::PerturbSlots(std::span<const double> truth, size_t slots,
+                           std::span<double> out, Rng& rng) {
+  const PpPerturber& first = *lanes_.front();
+  LoadDeviations();
+  if (first.kind_ == PpKind::kIpp) {
+    LaneSlots<false>(truth, slots, out, rng, *first.sw_plan_, first.bounds_,
+                     deviation_, uniforms_);
+  } else {
+    LaneSlots<true>(truth, slots, out, rng, *first.sw_plan_, first.bounds_,
+                    deviation_, uniforms_);
+  }
+  // Lane order, so each slot's ledger sum adds in dimension order.
+  for (size_t k = 0; k < lanes_.size(); ++k) SettleLane(k, slots);
+}
+
+void PpLanes::PerturbRoundRobin(std::span<const double> truth, size_t slots,
+                                size_t first_slot,
+                                std::span<double> last_report,
+                                std::span<double> out, Rng& rng) {
+  const PpPerturber& first = *lanes_.front();
+  LoadDeviations();
+  if (first.kind_ == PpKind::kIpp) {
+    LaneRoundRobin<false>(truth, slots, first_slot, last_report, out, rng,
+                          *first.sw_plan_, first.bounds_, deviation_,
+                          uniforms_);
+  } else {
+    LaneRoundRobin<true>(truth, slots, first_slot, last_report, out, rng,
+                         *first.sw_plan_, first.bounds_, deviation_,
+                         uniforms_);
+  }
+  // Lane k uploads at the slots t with (first_slot + t) mod d == k.
+  const size_t dims = lanes_.size();
+  for (size_t k = 0; k < dims; ++k) {
+    const size_t offset = (k + dims - first_slot % dims) % dims;
+    SettleLane(k, offset < slots ? (slots - 1 - offset) / dims + 1 : 0);
+  }
 }
 
 }  // namespace capp

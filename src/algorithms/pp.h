@@ -32,11 +32,13 @@
 #include <span>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "algorithms/clip_bounds.h"
 #include "algorithms/perturber.h"
 #include "algorithms/sw_direct.h"
 #include "mechanisms/mechanism.h"
+#include "mechanisms/square_wave.h"
 
 namespace capp {
 
@@ -80,19 +82,69 @@ class PpPerturber final : public StreamPerturber {
   void DoReset() override { deviation_ = 0.0; }
 
  private:
+  friend class PpLanes;
+
   PpPerturber(PpKind kind, PerturberOptions options,
               std::unique_ptr<Mechanism> mechanism, ClipBounds bounds,
               std::string name)
       : StreamPerturber(options), kind_(kind),
         mechanism_(std::move(mechanism)), map_(*mechanism_), bounds_(bounds),
-        name_(std::move(name)) {}
+        sw_plan_(PlanSwBatch(mechanism_.get())), name_(std::move(name)) {}
 
   PpKind kind_;
   std::unique_ptr<Mechanism> mechanism_;
   DomainMap map_;
   ClipBounds bounds_;
+  /// The SW block sampler's plan, resolved once; nullopt for non-SW
+  /// mechanisms, which take the scalar loop.
+  std::optional<SwBatchPlan> sw_plan_;
   std::string name_;
   double deviation_ = 0.0;
+};
+
+/// d PpPerturbers of one configuration run as lanes over one block of
+/// uniforms: the block path of MultidimPerturber at d >= 2. Each block of
+/// slots draws its uniforms with one Rng::FillUniform call in the order
+/// the per-slot loop draws them -- slot-major, then lane, then (u1, u2)
+/// -- and samples inline (SwSampleFromUniforms), with no virtual or RNG
+/// call per report. Every lane keeps its own memory, slot counter and
+/// ledger, and both calls are bit-identical to their per-slot loops of
+/// ProcessValue calls (reports, RNG state, lane state and ledgers).
+class PpLanes {
+ public:
+  /// Lanes over `perturbers` (d >= 1) when every one is a PpPerturber
+  /// over a batchable Square Wave with the same kind, interval and
+  /// budget; nullopt otherwise.
+  static std::optional<PpLanes> Create(
+      std::span<const std::unique_ptr<StreamPerturber>> perturbers);
+
+  /// Budget split: for t in [0, slots), for each lane k in order,
+  /// out[k * slots + t] = lane k's ProcessValue(truth[k * slots + t]).
+  /// `truth` and `out` are dim-major (d * slots doubles); each lane
+  /// records one spend run and advances its counter by `slots`.
+  void PerturbSlots(std::span<const double> truth, size_t slots,
+                    std::span<double> out, Rng& rng);
+
+  /// Sample split: slot t steps only lane (first_slot + t) mod d, which
+  /// stores its report in last_report[lane]; every lane's out cell at
+  /// slot t is its last_report. Each lane records and advances by its own
+  /// uploads; the global ledger is the caller's.
+  void PerturbRoundRobin(std::span<const double> truth, size_t slots,
+                         size_t first_slot, std::span<double> last_report,
+                         std::span<double> out, Rng& rng);
+
+ private:
+  explicit PpLanes(std::vector<PpPerturber*> lanes);
+
+  // Copies every lane's memory into deviation_ (before a call).
+  void LoadDeviations();
+  // Hands lane k its memory back and books its `uploads` slots: one spend
+  // run, one counter advance (after a call).
+  void SettleLane(size_t k, size_t uploads);
+
+  std::vector<PpPerturber*> lanes_;  // not owned
+  std::vector<double> deviation_;    // per lane, live during a call
+  std::vector<double> uniforms_;     // one block of (u1, u2) pairs
 };
 
 }  // namespace capp

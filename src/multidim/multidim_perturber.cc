@@ -64,8 +64,10 @@ Result<MultidimPerturber> MultidimPerturber::Create(
   }
   std::string name = std::string(AlgorithmKindName(inner)) +
                      (budget_split ? "-bs" : "-ss");
-  return MultidimPerturber(std::move(perturbers), !budget_split && dims > 1,
-                           std::move(name));
+  std::optional<PpLanes> lanes;
+  if (dims > 1) lanes = PpLanes::Create(perturbers);
+  return MultidimPerturber(std::move(perturbers), std::move(lanes),
+                           !budget_split && dims > 1, std::move(name));
 }
 
 void MultidimPerturber::AttachAccountant(WEventAccountant* accountant) {
@@ -95,6 +97,21 @@ void MultidimPerturber::PerturbStream(std::span<const double> truth,
     inner_[0]->ProcessChunk(truth, out, rng);
     return;
   }
+  if (lanes_ && !sample_split_) {
+    lanes_->PerturbSlots(truth, slots, out, rng);
+    return;
+  }
+  if (lanes_) {
+    lanes_->PerturbRoundRobin(truth, slots, slot_, last_report_, out, rng);
+    // One run, the ledger state of the per-slot loop's Record calls.
+    if (accountant_ != nullptr) {
+      const PerturberOptions& options = inner_.front()->options();
+      accountant_->RecordRun(slot_, slots, options.epsilon / options.window);
+    }
+    slot_ += slots;
+    return;
+  }
+  // The per-slot loop: SW-direct, BA-SW and ToPL.
   for (size_t t = 0; t < slots; ++t) {
     if (!sample_split_) {
       for (size_t k = 0; k < dims; ++k) {

@@ -22,10 +22,22 @@
 // slot t perturbs its dimensions in order before slot t + 1. One object
 // is pooled per fleet worker and reseeded per user (ResetForUser), so the
 // per-user path constructs no perturber after the first user.
+//
+// Three paths, all bit-identical to that per-slot order:
+//   * d = 1: the inner perturber's batched ProcessChunk.
+//   * d >= 2 with IPP, APP or CAPP inside (Square Wave, batchable plan),
+//     under either strategy: the block path (PpLanes, algorithms/pp.h).
+//     One FillUniform call draws each block's uniforms and the
+//     dimensions' recurrences run as lanes over it, sampling inline --
+//     every dimension under budget split, the active one under sample
+//     split.
+//   * d >= 2 with SW-direct, BA-SW or ToPL inside: one ProcessValue call
+//     per uploading (dimension, slot).
 #ifndef CAPP_MULTIDIM_MULTIDIM_PERTURBER_H_
 #define CAPP_MULTIDIM_MULTIDIM_PERTURBER_H_
 
 #include <memory>
+#include <optional>
 #include <span>
 #include <string>
 #include <string_view>
@@ -33,6 +45,7 @@
 
 #include "algorithms/factory.h"
 #include "algorithms/perturber.h"
+#include "algorithms/pp.h"
 #include "core/rng.h"
 #include "core/status.h"
 #include "stream/accountant.h"
@@ -98,7 +111,11 @@ class MultidimPerturber {
   /// `out` are dim-major (dims * slots doubles; dimension k's run at
   /// [k * slots, (k+1) * slots)); `out` is resized. With one dimension the
   /// slot-major draw order is the dimension's own, so the whole run goes
-  /// through the inner perturber's batched ProcessChunk.
+  /// through the inner perturber's batched ProcessChunk. At d >= 2, IPP,
+  /// APP and CAPP take the block path (PpLanes) under either strategy;
+  /// SW-direct, BA-SW and ToPL fall back to one ProcessValue call per
+  /// uploading (dimension, slot). Every path reports, draws and records
+  /// exactly what the per-slot loop does.
   void PerturbStream(std::span<const double> truth, size_t slots,
                      std::vector<double>& out) {
     PerturbStream(truth, slots, out, rng_);
@@ -111,11 +128,16 @@ class MultidimPerturber {
 
  private:
   MultidimPerturber(std::vector<std::unique_ptr<StreamPerturber>> inner,
-                    bool sample_split, std::string name)
-      : inner_(std::move(inner)), sample_split_(sample_split),
-        name_(std::move(name)), last_report_(inner_.size(), 0.5) {}
+                    std::optional<PpLanes> lanes, bool sample_split,
+                    std::string name)
+      : inner_(std::move(inner)), lanes_(std::move(lanes)),
+        sample_split_(sample_split), name_(std::move(name)),
+        last_report_(inner_.size(), 0.5) {}
 
   std::vector<std::unique_ptr<StreamPerturber>> inner_;  // one per dim
+  /// The block path over inner_, resolved at Create: set at d >= 2 when
+  /// the inner algorithm is IPP, APP or CAPP over a batchable SW.
+  std::optional<PpLanes> lanes_;
   /// Sample split with d >= 2 (a lone dimension uploads every slot, which
   /// is budget split's loop).
   bool sample_split_;

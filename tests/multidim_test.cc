@@ -7,7 +7,10 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <iterator>
 #include <limits>
+#include <memory>
+#include <span>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -432,6 +435,135 @@ TEST(MultidimPerturberTest, PerturbStreamIsSeedDeterministic) {
   perturber->ResetForUser(992);
   perturber->PerturbStream(truth, slots, second);
   EXPECT_NE(first, second);
+}
+
+// Per-slot oracle of MultidimPerturber::PerturbStream at d >= 2: d
+// independent inner perturbers driven slot-major through ProcessValue
+// from one Rng, with sample split's round robin, last reports and global
+// ledger written out by hand.
+class PerSlotOracle {
+ public:
+  PerSlotOracle(size_t dims, MultidimStrategy strategy,
+                PerturberOptions options, AlgorithmKind inner,
+                WEventAccountant* ledger, uint64_t seed)
+      : sample_split_(strategy == MultidimStrategy::kSampleSplit),
+        ledger_(ledger), rng_(seed), last_report_(dims, 0.5) {
+    if (!sample_split_) options.epsilon /= static_cast<double>(dims);
+    slot_budget_ = options.epsilon / options.window;
+    for (size_t k = 0; k < dims; ++k) {
+      auto created = CreatePerturber(inner, options);
+      EXPECT_TRUE(created.ok()) << created.status().ToString();
+      dims_.push_back(std::move(created).value());
+      if (!sample_split_) dims_.back()->AttachAccountant(ledger);
+    }
+  }
+
+  void PerturbStream(std::span<const double> truth, size_t slots,
+                     std::vector<double>& out) {
+    const size_t dims = dims_.size();
+    out.assign(dims * slots, 0.0);
+    for (size_t t = 0; t < slots; ++t) {
+      if (!sample_split_) {
+        for (size_t k = 0; k < dims; ++k) {
+          out[k * slots + t] =
+              dims_[k]->ProcessValue(truth[k * slots + t], rng_);
+        }
+        continue;
+      }
+      const size_t active = slot_ % dims;
+      last_report_[active] =
+          dims_[active]->ProcessValue(truth[active * slots + t], rng_);
+      ledger_->Record(slot_, slot_budget_);
+      for (size_t k = 0; k < dims; ++k) out[k * slots + t] = last_report_[k];
+      ++slot_;
+    }
+  }
+
+ private:
+  std::vector<std::unique_ptr<StreamPerturber>> dims_;
+  bool sample_split_;
+  WEventAccountant* ledger_;
+  Rng rng_;
+  double slot_budget_ = 0.0;
+  std::vector<double> last_report_;
+  size_t slot_ = 0;
+};
+
+testing::AssertionResult BitIdentical(const std::vector<double>& actual,
+                                      const std::vector<double>& expected) {
+  if (actual.size() != expected.size()) {
+    return testing::AssertionFailure()
+           << "size " << actual.size() << " vs " << expected.size();
+  }
+  for (size_t i = 0; i < actual.size(); ++i) {
+    if (std::bit_cast<uint64_t>(actual[i]) !=
+        std::bit_cast<uint64_t>(expected[i])) {
+      return testing::AssertionFailure()
+             << "cell " << i << ": " << actual[i] << " vs " << expected[i];
+    }
+  }
+  return testing::AssertionSuccess();
+}
+
+std::vector<double> LedgerSpends(const WEventAccountant& ledger) {
+  std::vector<double> spends(ledger.num_slots());
+  for (size_t t = 0; t < spends.size(); ++t) spends[t] = ledger.SlotSpend(t);
+  return spends;
+}
+
+// d >= 2 takes the block path for IPP, APP and CAPP (PpLanes) and the
+// per-slot loop for SW-direct, BA-SW and ToPL; both must equal the
+// per-slot oracle bit for bit: the reports, every slot's spend in the
+// shared ledger, and a second PerturbStream call that continues without a
+// reset (lane counters and memories, sample split's global slot and last
+// reports). The slot counts straddle the block edges (max(1, 128 / d)
+// slots under budget split, 128 under sample split); one pooled
+// perturber per pipeline serves every slot count, reset in between.
+TEST(MultidimPerturberTest, BlockPathMatchesPerSlotOracle) {
+  constexpr PerturberOptions kOptions{1.5, 8};
+  for (size_t dims : {2, 3, 4, 5, 8, 64, 300}) {
+    for (MultidimStrategy strategy : {MultidimStrategy::kBudgetSplit,
+                                      MultidimStrategy::kSampleSplit}) {
+      for (AlgorithmKind kind : kOnlineKinds) {
+        if (Refused(dims, strategy, kind)) continue;
+        SCOPED_TRACE(testing::Message()
+                     << "d=" << dims << " " << MultidimStrategyName(strategy)
+                     << " " << AlgorithmKindName(kind));
+        MultidimPerturber perturber =
+            MustCreate(dims, strategy, kOptions, kind);
+        for (size_t slots : {1, 31, 32, 33, 127, 128, 129, 257}) {
+          SCOPED_TRACE(testing::Message() << "slots=" << slots);
+          Rng input_rng(dims * 1000 + slots);
+          std::vector<double> truth(dims * slots);
+          for (double& x : truth) x = input_rng.Uniform(-0.25, 1.25);
+          const double planted[] = {
+              std::numeric_limits<double>::infinity(),
+              -std::numeric_limits<double>::infinity(),
+              std::numeric_limits<double>::quiet_NaN(), -0.25, 1.25};
+          for (size_t j = 0; j < std::size(planted); ++j) {
+            truth[(j * 7919 + 3) % truth.size()] = planted[j];
+          }
+          const uint64_t seed = UserStreamSeed(5, dims * 1000 + slots, 1);
+          WEventAccountant ledger;
+          perturber.AttachAccountant(&ledger);
+          perturber.ResetForUser(seed);
+          WEventAccountant oracle_ledger;
+          PerSlotOracle oracle(dims, strategy, kOptions, kind,
+                               &oracle_ledger, seed);
+          std::vector<double> reports;
+          std::vector<double> expected;
+          for (int call = 0; call < 2; ++call) {
+            SCOPED_TRACE(testing::Message() << "call " << call);
+            perturber.PerturbStream(truth, slots, reports);
+            oracle.PerturbStream(truth, slots, expected);
+            ASSERT_TRUE(BitIdentical(reports, expected));
+            ASSERT_TRUE(
+                BitIdentical(LedgerSpends(ledger), LedgerSpends(oracle_ledger)));
+          }
+        }
+      }
+    }
+  }
 }
 
 // Offline oracle for one d-dimensional fleet: replays every user with the
